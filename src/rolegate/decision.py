@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .directory import (
     Action,
     DirectoryState,
-    effective_permissions,
+    effective_permissions,  # no longer called here; perfbench/tracing.py wraps this name
     effective_roles,
     ensure_token,
 )
@@ -155,7 +155,6 @@ class Evaluation:
     subject_roles: frozenset[str]
     blocking: list[ObligationPolicy]
     attached: list[ObligationPolicy]
-    trace: list[TraceStep]
 
     def decision(self) -> Decision:
         if self.effect is Effect.PERMIT:
@@ -175,62 +174,47 @@ def evaluate(
     state: DirectoryState,
     request: AccessRequest,
     policies: Sequence[ObligationPolicy] = (),
+    trace: Optional[list[TraceStep]] = None,
 ) -> Evaluation:
-    """Run the quota-free part of the two-phase check and build the trace.
+    """Run the quota-free part of the two-phase check.
 
-    The trace covers subject lookup, every examined role and every applicable
-    obligation.  The engine finishes it with the quota consultation and the
-    final decision step (see ``finish_trace``), since only the engine knows
-    whether a quota is in play.
+    With a ``trace`` list, steps are appended to it for the subject lookup,
+    every examined role and every applicable obligation; without one, no step
+    is built.  The engine finishes the trace with the quota consultation and
+    the final decision step, since only the engine knows whether a quota is
+    in play.
     """
-    trace: list[TraceStep] = []
-
     if request.subject not in state.users:
-        trace.append(TraceStep("subject", request.subject, "unknown"))
+        if trace is not None:
+            trace.append(TraceStep("subject", request.subject, "unknown"))
         return Evaluation(
-            Effect.DENY,
-            Reason.UNKNOWN_SUBJECT,
-            None,
-            (),
-            frozenset(),
-            [],
-            [],
-            trace,
+            Effect.DENY, Reason.UNKNOWN_SUBJECT, None, (), frozenset(), [], []
         )
-    trace.append(TraceStep("subject", request.subject, "found"))
+    if trace is not None:
+        trace.append(TraceStep("subject", request.subject, "found"))
 
     subject_roles = effective_roles(state, request.subject)
+    # match on raw fields: the request is untrusted, and a resource no
+    # permission could ever name must deny, not raise
+    wanted = (request.resource, request.action)
     granting: list[str] = []
     for role in sorted(subject_roles):
-        # match on raw fields: the request is untrusted, and a resource no
-        # permission could ever name must deny, not raise
-        if any(
-            p.resource == request.resource and p.action is request.action
-            for p in effective_permissions(state, role)
-        ):
+        grants = wanted in state.permission_keys(role)
+        if grants:
             granting.append(role)
-            trace.append(TraceStep("role", role, "grants"))
-        else:
-            trace.append(TraceStep("role", role, "no-grant"))
+        if trace is not None:
+            trace.append(TraceStep("role", role, "grants" if grants else "no-grant"))
 
     if not granting:
         return Evaluation(
-            Effect.DENY,
-            Reason.NO_MATCHING_PERMISSION,
-            None,
-            (),
-            subject_roles,
-            [],
-            [],
-            trace,
+            Effect.DENY, Reason.NO_MATCHING_PERMISSION, None, (), subject_roles, [], []
         )
 
     matched = granting[0]  # lexicographic minimum: sorted iteration above
     blocking, attached = evaluate_obligations(policies, subject_roles, request.context)
-    for policy in blocking:
-        trace.append(TraceStep("obligation", policy.id, "blocks"))
-    for policy in attached:
-        trace.append(TraceStep("obligation", policy.id, "attaches"))
+    if trace is not None:
+        trace.extend(TraceStep("obligation", p.id, "blocks") for p in blocking)
+        trace.extend(TraceStep("obligation", p.id, "attaches") for p in attached)
 
     if blocking:
         return Evaluation(
@@ -241,9 +225,7 @@ def evaluate(
             subject_roles,
             blocking,
             attached,
-            trace,
         )
-
     return Evaluation(
         Effect.PERMIT,
         Reason.GRANTED,
@@ -252,20 +234,4 @@ def evaluate(
         subject_roles,
         blocking,
         attached,
-        trace,
     )
-
-
-def finish_trace(
-    evaluation: Evaluation,
-    decision: Decision,
-    quota_step: Optional[TraceStep] = None,
-) -> tuple[TraceStep, ...]:
-    """Complete an evaluation trace with the quota step and the verdict."""
-    trace = list(evaluation.trace)
-    if quota_step is not None:
-        trace.append(quota_step)
-    trace.append(
-        TraceStep("decision", decision.matched_role or "", decision.effect.value)
-    )
-    return tuple(trace)

@@ -18,9 +18,11 @@ operation and no state field associating a user with a permission directly.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
@@ -236,6 +238,14 @@ class DirectoryState:
 
     Containers are never mutated in place; use the module-level transition
     functions, each of which returns a fresh state.
+
+    Queries read derived indexes: user -> direct roles, role -> members,
+    role -> role closure and role -> effective ``(resource, action)`` keys.
+    Each is built on first use and cached on this instance.  Because the
+    containers are never mutated, an index stays valid for the life of its
+    state, and because every transition builds a new instance, no index is
+    shared with, or needs invalidating in, a successor state.  There is never
+    a user -> permission index: users reach permissions only through roles.
     """
 
     users: frozenset[str] = frozenset()
@@ -250,14 +260,68 @@ class DirectoryState:
         return DirectoryState()
 
     def direct_roles(self, user: str) -> frozenset[str]:
-        return frozenset(r for (u, r) in self.assignments if u == user)
+        return self._direct_roles.get(user, frozenset())
 
     def members_of(self, role: str) -> frozenset[str]:
-        return frozenset(u for (u, r) in self.assignments if r == role)
+        return self._members.get(role, frozenset())
+
+    def permission_keys(self, role: str) -> frozenset[tuple[str, Action]]:
+        """The role's effective ``(resource, action)`` pairs, inherited ones included."""
+        return self._permission_keys[role]
 
     def iter_assignments(self) -> Iterator[Assignment]:
         for (user, role), at in sorted(self.assignments.items()):
             yield Assignment(user, role, at)
+
+    @cached_property
+    def _direct_roles(self) -> dict[str, frozenset[str]]:
+        held: defaultdict[str, list[str]] = defaultdict(list)
+        for user, role in self.assignments:
+            held[user].append(role)
+        # far fewer distinct role sets exist than users: share one copy of each
+        interned: dict[frozenset[str], frozenset[str]] = {}
+        out = {}
+        for user, roles in held.items():
+            key = frozenset(roles)
+            out[user] = interned.setdefault(key, key)
+        return out
+
+    @cached_property
+    def _members(self) -> dict[str, frozenset[str]]:
+        members: defaultdict[str, list[str]] = defaultdict(list)
+        for user, role in self.assignments:
+            members[role].append(user)
+        return {role: frozenset(users) for role, users in members.items()}
+
+    @cached_property
+    def _closures(self) -> dict[str, frozenset[str]]:
+        closures: dict[str, frozenset[str]] = {}
+        for role in self.roles:
+            reached: set[str] = set()
+            stack = [role]
+            while stack:
+                current = stack.pop()
+                if current in reached:
+                    continue
+                known = closures.get(current)
+                if known is not None:
+                    reached |= known
+                    continue
+                reached.add(current)
+                stack.extend(self.roles[current].parents)
+            closures[role] = frozenset(reached)
+        return closures
+
+    @cached_property
+    def _permission_keys(self) -> dict[str, frozenset[tuple[str, Action]]]:
+        own = {
+            name: {(p.resource, p.action) for p in role.permissions}
+            for name, role in self.roles.items()
+        }
+        return {
+            role: frozenset().union(*(own[r] for r in closure))
+            for role, closure in self._closures.items()
+        }
 
 
 @dataclass(frozen=True)
@@ -289,7 +353,7 @@ def create_user(state: DirectoryState, name: str) -> DirectoryState:
     ensure_token(name, "user name")
     if name in state.users:
         raise DuplicateUser(name)
-    return _replace(state, users=state.users | {name})
+    return replace(state, users=state.users | {name})
 
 
 def create_role(
@@ -307,7 +371,7 @@ def create_role(
     roles = dict(state.roles)
     roles[name] = Role(name=name, parents=parent_set)
     _ensure_acyclic(roles, start=name)
-    return _replace(state, roles=roles)
+    return replace(state, roles=roles)
 
 
 def grant_permission(state: DirectoryState, role: str, perm: Permission) -> DirectoryState:
@@ -318,7 +382,7 @@ def grant_permission(state: DirectoryState, role: str, perm: Permission) -> Dire
         return state  # re-grant is a no-op
     roles = dict(state.roles)
     roles[role] = Role(existing.name, existing.parents, existing.permissions | {perm})
-    return _replace(state, roles=roles)
+    return replace(state, roles=roles)
 
 
 def assign_role(state: DirectoryState, user: str, role: str, now: int) -> DirectoryState:
@@ -334,13 +398,14 @@ def assign_role(state: DirectoryState, user: str, role: str, now: int) -> Direct
         raise UnknownRole(role)
     if (user, role) in state.assignments:
         raise DuplicateAssignment(f"{user} already holds {role}")
-    held = state.direct_roles(user)
-    for other in held:
-        if sod_pair(role, other) in state.sod:
-            raise SoDViolation(f"{role} conflicts with {other} held by {user}")
+    for pair in state.sod:
+        if role in pair:
+            other = pair[0] if pair[1] == role else pair[1]
+            if (user, other) in state.assignments:
+                raise SoDViolation(f"{role} conflicts with {other} held by {user}")
     assignments = dict(state.assignments)
     assignments[(user, role)] = int(now)
-    return _replace(state, assignments=assignments)
+    return replace(state, assignments=assignments)
 
 
 def revoke_role(state: DirectoryState, user: str, role: str) -> DirectoryState:
@@ -348,7 +413,7 @@ def revoke_role(state: DirectoryState, user: str, role: str) -> DirectoryState:
         raise UnknownAssignment(f"{user} does not hold {role}")
     assignments = dict(state.assignments)
     del assignments[(user, role)]
-    return _replace(state, assignments=assignments)
+    return replace(state, assignments=assignments)
 
 
 def add_sod_constraint(state: DirectoryState, a: str, b: str) -> DirectoryState:
@@ -363,7 +428,7 @@ def add_sod_constraint(state: DirectoryState, a: str, b: str) -> DirectoryState:
         raise ExistingConflict(
             f"users already hold both {a} and {b}: {', '.join(sorted(holders))}"
         )
-    return _replace(state, sod=state.sod | {pair})
+    return replace(state, sod=state.sod | {pair})
 
 
 def add_restriction(state: DirectoryState, policy: RestrictionPolicy) -> DirectoryState:
@@ -376,40 +441,28 @@ def add_restriction(state: DirectoryState, policy: RestrictionPolicy) -> Directo
             raise UnknownRole(policy.target)
     restrictions = dict(state.restrictions)
     restrictions[policy.id] = policy
-    return _replace(state, restrictions=restrictions)
+    return replace(state, restrictions=restrictions)
 
 
 def role_closure(state: DirectoryState, role: str) -> frozenset[str]:
     """The role plus everything it inherits from, transitively."""
     if role not in state.roles:
         raise UnknownRole(role)
-    seen: set[str] = set()
-    stack = [role]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        stack.extend(state.roles[current].parents)
-    return frozenset(seen)
+    return state._closures[role]
 
 
 def effective_roles(state: DirectoryState, user: str) -> frozenset[str]:
     """Transitive closure over the hierarchy of the user's direct roles."""
     if user not in state.users:
         raise UnknownUser(user)
-    out: set[str] = set()
-    for role in state.direct_roles(user):
-        out |= role_closure(state, role)
-    return frozenset(out)
+    closures = state._closures
+    return frozenset().union(*(closures[role] for role in state.direct_roles(user)))
 
 
 def effective_permissions(state: DirectoryState, role: str) -> frozenset[Permission]:
     """Union of the role's own permissions and all inherited ones."""
-    out: set[Permission] = set()
-    for r in role_closure(state, role):
-        out |= state.roles[r].permissions
-    return frozenset(out)
+    roles = state.roles
+    return frozenset().union(*(roles[r].permissions for r in role_closure(state, role)))
 
 
 def metrics(state: DirectoryState) -> DirectoryMetrics:
@@ -462,15 +515,3 @@ def _ensure_acyclic(roles: dict[str, Role], start: str) -> None:
         seen.add(current)
         stack.extend(roles[current].parents)
 
-
-def _replace(state: DirectoryState, **changes) -> DirectoryState:
-    fields = {
-        "users": state.users,
-        "roles": state.roles,
-        "assignments": state.assignments,
-        "sod": state.sod,
-        "restrictions": state.restrictions,
-        "tables": state.tables,
-    }
-    fields.update(changes)
-    return DirectoryState(**fields)

@@ -26,12 +26,10 @@ from .decision import (
     AccessRequest,
     Decision,
     Effect,
-    Evaluation,
     ObligationPolicy,
     Reason,
     TraceStep,
     evaluate,
-    finish_trace,
     new_request_id,
 )
 from .directory import (
@@ -263,21 +261,51 @@ class Engine:
 
     def check_access(self, request: AccessRequest) -> Decision:
         """Two-phase check; consumes quota on would-be permits; always audited."""
+        return self._decide(request, None)
+
+    def explain(self, request: AccessRequest) -> tuple[Decision, tuple[TraceStep, ...]]:
+        """Same decision as check_access, plus the evaluation trace.
+
+        Dry run: no quota is consumed, no audit record or anomaly is written,
+        so explaining twice is always idempotent.
+        """
+        trace: list[TraceStep] = []
+        decision = self._decide(request, trace)
+        return decision, tuple(trace)
+
+    def _decide(self, request: AccessRequest, trace: Optional[list[TraceStep]]) -> Decision:
+        """One decision path for both entry points.
+
+        Without a trace the decision is live: quota is consumed and the audit
+        record written.  With a trace list it is a dry run that only peeks at
+        the quota and appends the steps, ending with the verdict.
+        """
         with self._rw.read():
             now = self.now()
             state = self._state
-            ev = self._evaluate(state, request)
+            policies = () if self.plain_rbac else self._obligations
+            ev = evaluate(state, request, policies, trace)
             decision = ev.decision()
             if (
                 decision.effect is Effect.PERMIT
                 and not self.plain_rbac
                 and state.restrictions
             ):
-                result = self._monitor.consume(
-                    state, request.subject, ev.matched_role, now, request.request_id
-                )
+                if trace is None:
+                    result = self._monitor.consume(
+                        state, request.subject, ev.matched_role, now, request.request_id
+                    )
+                else:
+                    result = self._monitor.peek(state, request.subject, ev.matched_role, now)
+                    outcome = "admit" if result.admitted else "exhausted"
+                    trace.append(TraceStep("quota", result.rejected_by or "", outcome))
                 if not result.admitted:
                     decision = Decision(Effect.DENY, Reason.QUOTA_EXCEEDED)
+            if trace is not None:
+                trace.append(
+                    TraceStep("decision", decision.matched_role or "", decision.effect.value)
+                )
+                return decision
             self._monitor.record_audit(
                 AuditRecord(
                     at=now,
@@ -291,35 +319,6 @@ class Engine:
                 )
             )
             return decision
-
-    def explain(self, request: AccessRequest) -> tuple[Decision, tuple[TraceStep, ...]]:
-        """Same decision as check_access, plus the evaluation trace.
-
-        Dry run: no quota is consumed, no audit record or anomaly is written,
-        so explaining twice is always idempotent.
-        """
-        with self._rw.read():
-            now = self.now()
-            state = self._state
-            ev = self._evaluate(state, request)
-            decision = ev.decision()
-            quota_step: Optional[TraceStep] = None
-            if (
-                decision.effect is Effect.PERMIT
-                and not self.plain_rbac
-                and state.restrictions
-            ):
-                result = self._monitor.peek(state, request.subject, ev.matched_role, now)
-                if result.admitted:
-                    quota_step = TraceStep("quota", result.rejected_by or "", "admit")
-                else:
-                    quota_step = TraceStep("quota", result.rejected_by or "", "exhausted")
-                    decision = Decision(Effect.DENY, Reason.QUOTA_EXCEEDED)
-            return decision, finish_trace(ev, decision, quota_step)
-
-    def _evaluate(self, state: DirectoryState, request: AccessRequest) -> Evaluation:
-        policies = () if self.plain_rbac else self._obligations
-        return evaluate(state, request, policies)
 
     # -- monitoring ------------------------------------------------------------
 
@@ -386,7 +385,7 @@ class Engine:
         """Swap in a snapshot's cut; refuses (state untouched) on bad checksum."""
         self._require_policy_mode("backup and restoration")
         store = self._require_store()
-        cut = store.load(snapshot_id)  # checksum verified before any mutation
+        cut, meta = store.load_with_meta(snapshot_id)  # verified before any mutation
         with self._rw.write():
             self._state = cut.state
             self._monitor.load(list(cut.counters), list(cut.audit), list(cut.anomalies))
@@ -402,8 +401,7 @@ class Engine:
                 )
             )
             self._flush_locked()
-        entry = next(e for e in store.list_entries() if e.id == snapshot_id)
-        return SnapshotMeta(entry.id, entry.created_at, entry.checksum, entry.size_bytes)
+        return meta
 
     def list_snapshots(self, verify: bool = False) -> list[SnapshotEntry]:
         self._require_policy_mode("backup and restoration")

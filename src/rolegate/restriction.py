@@ -119,13 +119,17 @@ def check_user_cap(state: DirectoryState, role: str) -> Optional[str]:
     """
     if role not in state.roles:
         raise UnknownRole(role)
+    caps = [
+        policy
+        for policy in sorted(state.restrictions.values(), key=lambda p: p.id)
+        if policy.scope == SCOPE_PER_ROLE
+        and policy.max_users is not None
+        and policy.target in (None, role)
+    ]
+    if not caps:
+        return None  # no cap binds the role: its members need not be counted
     members = len(state.members_of(role))
-    for policy in sorted(state.restrictions.values(), key=lambda p: p.id):
-        if policy.scope != SCOPE_PER_ROLE or policy.max_users is None:
-            continue
-        if policy.target in (None, role) and members >= policy.max_users:
-            return policy.id
-    return None
+    return next((policy.id for policy in caps if members >= policy.max_users), None)
 
 
 class RestrictionMonitor:

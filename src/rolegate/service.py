@@ -13,6 +13,7 @@ the engine's write lock, so no request ever sees a mixed old/new state.
 
 from __future__ import annotations
 
+import hmac
 import logging
 import threading
 import time
@@ -258,9 +259,14 @@ def _make_handler(service: Service):
         # -- plumbing -----------------------------------------------------
 
         def _body(self) -> bytes:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
-                raise WireError("request body too large")
+            raw = (self.headers.get("Content-Length") or "0").strip()
+            # 1*DIGIT only: int() also takes "-1", "+5" or "1_0", and
+            # rfile.read(-1) waits for EOF
+            digits = raw.isascii() and raw.isdigit() and len(raw) < 20
+            length = int(raw) if digits else -1
+            if not 0 <= length <= MAX_BODY_BYTES:
+                self.close_connection = True  # the unread body must not parse as a request
+                raise WireError(f"invalid or too large Content-Length: {raw[:32]!r}")
             return self.rfile.read(length) if length else b""
 
         def _fields(self) -> dict[str, list[str]]:
@@ -282,7 +288,8 @@ def _make_handler(service: Service):
         def _authorized(self) -> bool:
             if not config.api_token:
                 return True
-            return self.headers.get(TOKEN_HEADER) == config.api_token
+            given = self.headers.get(TOKEN_HEADER) or ""
+            return hmac.compare_digest(given.encode(), config.api_token.encode())
 
         def _admin_guard(self) -> bool:
             if not self._authorized():

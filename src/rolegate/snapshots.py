@@ -339,14 +339,24 @@ class SnapshotStore:
             return meta
 
     def load(self, snapshot_id: int) -> EngineCut:
+        return self.load_with_meta(snapshot_id)[0]
+
+    def load_with_meta(self, snapshot_id: int) -> tuple[EngineCut, SnapshotMeta]:
+        """The verified cut and its catalog metadata, both from one read.
+
+        Retention may prune the file right after the read; the metadata does
+        not depend on it still being there.
+        """
         path = self.path_for(snapshot_id)
-        if not path.is_file():
-            raise UnknownSnapshot(str(snapshot_id))
         try:
             blob = path.read_bytes()
+        except (FileNotFoundError, IsADirectoryError):
+            raise UnknownSnapshot(str(snapshot_id)) from None
         except OSError as exc:
             raise _wrap_os_error(exc) from exc
-        return decode_cut(blob)
+        cut = decode_cut(blob)
+        checksum = blob[-hashlib.sha256().digest_size :].hex()
+        return cut, SnapshotMeta(snapshot_id, cut.captured_at, checksum, len(blob))
 
     def list_entries(self, verify: bool = False) -> list[SnapshotEntry]:
         """Catalog entries in id order; checksums re-verified only on request."""

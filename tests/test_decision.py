@@ -242,6 +242,56 @@ class TestExplain:
         assert any(s.phase == "quota" and s.outcome == "exhausted" for s in trace)
 
 
+    def test_full_trace_golden(self, engine):
+        engine.add_restriction(
+            d.RestrictionPolicy(
+                id="lim", scope="per-user", max_transactions=5, window_seconds=60
+            )
+        )
+        engine.set_obligations(
+            [
+                ObligationPolicy(
+                    id="log-it",
+                    modality="must",
+                    action_token="log",
+                    applies_to=frozenset({"employee"}),
+                )
+            ]
+        )
+        decision, trace = engine.explain(req("alice", "docs", "read"))
+        assert decision.matched_role == "admin"
+        assert [(s.phase, s.item, s.outcome) for s in trace] == [
+            ("subject", "alice", "found"),
+            ("role", "admin", "grants"),
+            ("role", "employee", "grants"),
+            ("obligation", "log-it", "attaches"),
+            ("quota", "", "admit"),
+            ("decision", "admin", "permit"),
+        ]
+        _, trace = engine.explain(req("ghost", "docs", "read"))
+        assert [(s.phase, s.item, s.outcome) for s in trace] == [
+            ("subject", "ghost", "unknown"),
+            ("decision", "", "deny"),
+        ]
+
+    def test_check_access_builds_no_trace_steps(self, engine, monkeypatch):
+        import rolegate.decision as decision_module
+
+        built = []
+        real = decision_module.TraceStep
+
+        def counting_step(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(decision_module, "TraceStep", counting_step)
+        for subject, action in (("alice", "write"), ("bob", "write"), ("ghost", "read")):
+            engine.check_access(req(subject, "docs", action))
+        assert built == []
+        engine.explain(req("alice", "docs", "write"))
+        assert built  # the same evaluation builds the steps when asked to
+
+
 class TestTwoPhaseDecomposition:
     def test_permit_reverifiable_from_decision_alone(self, engine):
         decision = engine.check_access(req("alice", "docs", "write"))

@@ -155,6 +155,29 @@ class TestWireGrammar:
         assert body.startswith(b"error=not-found\n")
 
 
+def raw_exchange(svc, head: bytes, body: bytes) -> bytes:
+    """Send raw request bytes, keep the socket open for writing, read to EOF."""
+    with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+        sock.sendall(head + b"\r\n\r\n" + body)
+        data = b""
+        while chunk := sock.recv(4096):
+            data += chunk
+    return data
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "value",
+        [b"-1", b"-100", b"abc", b"+5", b"1_0", b"\xd9\xa3", b"9" * 5000, b"99999999"],
+    )
+    def test_bad_length_is_400_before_reading(self, service, value):
+        head = b"POST /v1/decision HTTP/1.1\r\nHost: x\r\nContent-Length: " + value
+        reply = raw_exchange(service, head, b"subject=x\nresource=y\naction=read\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"error=bad-request\n" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1  # the unread body was not parsed as a request
+
+
 class TestAuth:
     def test_admin_mutation_requires_token(self, service):
         status, body = call(service, "POST", "/v1/users", "name=x\n")
@@ -170,6 +193,12 @@ class TestAuth:
             service, "POST", "/v1/decision", "subject=x\nresource=y\naction=read\n"
         )
         assert status == 200
+
+    def test_token_wrong_missing_right(self, service):
+        _, bundle = call(service, "GET", "/v1/export")
+        for token, expected in (("wrong", 401), (None, 401), ("t\xe9st", 401), (TOKEN, 200)):
+            status, _ = call(service, "POST", "/v1/import", bundle, token)
+            assert status == expected, token
 
     def test_all_mutating_routes_gated(self, service):
         routes = [

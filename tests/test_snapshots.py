@@ -236,6 +236,22 @@ class TestEngineSnapshots:
         records = engine.query_audit(limit=10)
         assert any(r.reason == "restore-performed" for r in records)
 
+    def test_restore_survives_pruning_of_its_snapshot(self, engine):
+        meta = engine.create_snapshot()
+        store = engine.snapshot_store
+        record_audit = engine.monitor.record_audit
+
+        def prune_then_record(record):
+            # a concurrent snapshot with keep_last=1 prunes the one being restored
+            store.keep_last = 1
+            store.save(engine._cut_locked("concurrent"))
+            assert meta.id not in store.ids()
+            record_audit(record)
+
+        engine.monitor.record_audit = prune_then_record
+        restored = engine.restore_snapshot(meta.id)
+        assert restored == meta
+
     def test_restore_unknown_id(self, engine):
         with pytest.raises(UnknownSnapshot):
             engine.restore_snapshot(404)
