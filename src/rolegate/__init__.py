@@ -54,6 +54,7 @@ from .restriction import (
 from .snapshots import (
     ChecksumMismatch,
     EngineCut,
+    SnapshotEntry,
     SnapshotStore,
     UnknownSnapshot,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "RestrictionMonitor",
     "RestrictionPolicy",
     "Role",
+    "SnapshotEntry",
     "SnapshotStore",
     "TableSchema",
     "TraceStep",

@@ -22,7 +22,7 @@ from .directory import Action, Permission, RbacError, RestrictionPolicy
 from .engine import Engine
 from .migration import ValidationReport
 from .restriction import iso8601
-from .service import Service, build_engine
+from .service import Service, build_engine, metrics_pairs
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -44,7 +44,7 @@ def _engine(args) -> Engine:
 def _print_report(report: ValidationReport, stream) -> None:
     print(f"ok={'true' if report.ok else 'false'}", file=stream)
     for issue in report.issues:
-        print(f"{issue.severity}\t{issue.locator}\t{issue.message}", file=stream)
+        print(issue.line(), file=stream)
 
 
 def _context_pairs(raw: list[str]) -> dict[str, str]:
@@ -203,9 +203,8 @@ def cmd_snapshot_create(args) -> int:
 def cmd_snapshot_list(args) -> int:
     engine = _engine(args)
     verify = bool(args.verify or getattr(args, "verify_global", False))
-    for e in engine.list_snapshots(verify=verify):
-        status = "-" if e.verified is None else ("ok" if e.verified else "corrupt")
-        print(f"{e.id}\t{iso8601(e.created_at)}\t{e.checksum}\t{e.size_bytes}\t{status}")
+    for entry in engine.list_snapshots(verify=verify):
+        print(entry.line())
     return EXIT_OK
 
 
@@ -232,21 +231,8 @@ def cmd_audit(args) -> int:
         until=args.until,
         limit=args.limit,
     )
-    for r in records:
-        print(
-            "\t".join(
-                (
-                    iso8601(r.at),
-                    r.request_id,
-                    r.subject,
-                    r.resource,
-                    r.action,
-                    r.effect,
-                    r.reason,
-                    r.matched_role or "-",
-                )
-            )
-        )
+    for record in records:
+        print(record.line())
     return EXIT_OK
 
 
@@ -254,26 +240,15 @@ def cmd_anomalies(args) -> int:
     engine = _engine(args)
     events = engine.drain_anomalies()
     engine.flush()  # the drain is consumed state; persist it
-    for e in events:
-        print(
-            "\t".join(
-                (iso8601(e.at), e.policy, e.principal, str(e.observed), str(e.limit), e.request_id)
-            )
-        )
+    for event in events:
+        print(event.line())
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
     engine = _engine(args)
-    m = engine.metrics()
-    print(f"num-users={m.num_users}")
-    print(f"num-roles={m.num_roles}")
-    print(f"num-permissions={m.num_permissions}")
-    print(f"num-assignments={m.num_assignments}")
-    ratio = m.ratio_decimal()
-    exact = str(m.role_user_ratio) if m.role_user_ratio is not None else "undefined"
-    print(f"role-user-ratio={ratio if ratio is not None else 'undefined'}")
-    print(f"role-user-ratio-exact={exact}")
+    for key, value in metrics_pairs(engine.metrics()):
+        print(f"{key}={value}")
     return EXIT_OK
 
 

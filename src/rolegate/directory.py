@@ -58,6 +58,10 @@ class UnknownRole(RbacError):
 class HierarchyCycle(RbacError):
     code = "hierarchy-cycle"
 
+    def __init__(self, message: str, path: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.path = path  # the cycle, first role repeated last, when one was walked
+
 
 class SoDViolation(RbacError):
     code = "sod-violation"
@@ -370,7 +374,8 @@ def create_role(
             raise UnknownRole(p)
     roles = dict(state.roles)
     roles[name] = Role(name=name, parents=parent_set)
-    _ensure_acyclic(roles, start=name)
+    # Parents must already exist, so no cycle can form; checked invariant.
+    topological_order(roles)
     return replace(state, roles=roles)
 
 
@@ -480,38 +485,31 @@ def metrics(state: DirectoryState) -> DirectoryMetrics:
 
 
 def topological_order(roles: dict[str, Role]) -> list[str]:
-    """Topologically sort roles along inheritance edges; raises HierarchyCycle."""
+    """Role names, each after every role it inherits from; raises HierarchyCycle.
+
+    The one cycle check of the package.  The walk keeps its own stack, so a
+    hierarchy of any depth is checked without recursion.  The error names the
+    cycle as ``a -> b -> a``.
+    """
     order: list[str] = []
-    marks: dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(name: str, trail: tuple[str, ...]) -> None:
-        mark = marks.get(name)
-        if mark == 2:
-            return
-        if mark == 1:
-            raise HierarchyCycle(" -> ".join(trail + (name,)))
-        marks[name] = 1
-        for parent in sorted(roles[name].parents):
-            visit(parent, trail + (name,))
-        marks[name] = 2
-        order.append(name)
-
-    for name in sorted(roles):
-        visit(name, ())
-    return order
-
-
-def _ensure_acyclic(roles: dict[str, Role], start: str) -> None:
-    # Creation order makes cycles unreachable through the public API (parents
-    # must already exist), but the guard stays as a checked invariant.
-    seen: set[str] = set()
-    stack: list[str] = list(roles[start].parents)
-    while stack:
-        current = stack.pop()
-        if current == start:
-            raise HierarchyCycle(f"cycle through role {start!r}")
-        if current in seen:
+    done: set[str] = set()
+    for root in sorted(roles):
+        if root in done:
             continue
-        seen.add(current)
-        stack.extend(roles[current].parents)
-
+        path = {root: None}  # roles being visited, in order: each inherits from the next
+        pending = [iter(sorted(roles[root].parents))]
+        while pending:
+            parent = next(pending[-1], None)
+            if parent is None:
+                pending.pop()
+                name, _ = path.popitem()
+                done.add(name)
+                order.append(name)
+            elif parent in path:
+                walk = list(path)
+                cycle = (*walk[walk.index(parent) :], parent)
+                raise HierarchyCycle(" -> ".join(cycle), cycle)
+            elif parent not in done:
+                path[parent] = None
+                pending.append(iter(sorted(roles[parent].parents)))
+    return order

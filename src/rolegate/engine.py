@@ -46,7 +46,6 @@ from .restriction import AuditRecord, AnomalyEvent, RestrictionMonitor, check_us
 from .snapshots import (
     EngineCut,
     SnapshotEntry,
-    SnapshotMeta,
     SnapshotStore,
     read_state_file,
     write_state_file,
@@ -277,8 +276,8 @@ class Engine:
         """One decision path for both entry points.
 
         Without a trace the decision is live: quota is consumed and the audit
-        record written.  With a trace list it is a dry run that only peeks at
-        the quota and appends the steps, ending with the verdict.
+        record written.  With a trace list it is a dry run of the same quota
+        check that only appends the steps, ending with the verdict.
         """
         with self._rw.read():
             now = self.now()
@@ -291,12 +290,11 @@ class Engine:
                 and not self.plain_rbac
                 and state.restrictions
             ):
-                if trace is None:
-                    result = self._monitor.consume(
-                        state, request.subject, ev.matched_role, now, request.request_id
-                    )
-                else:
-                    result = self._monitor.peek(state, request.subject, ev.matched_role, now)
+                result = self._monitor.consume(
+                    state, request.subject, ev.matched_role, now, request.request_id,
+                    dry_run=trace is not None,
+                )
+                if trace is not None:
                     outcome = "admit" if result.admitted else "exhausted"
                     trace.append(TraceStep("quota", result.rejected_by or "", outcome))
                 if not result.admitted:
@@ -374,14 +372,14 @@ class Engine:
             reason=reason,
         )
 
-    def create_snapshot(self, reason: str = "") -> SnapshotMeta:
+    def create_snapshot(self, reason: str = "") -> SnapshotEntry:
         self._require_policy_mode("backup and restoration")
         store = self._require_store()
         with self._rw.read():
             cut = self._cut_locked(reason)
         return store.save(cut)
 
-    def restore_snapshot(self, snapshot_id: int) -> SnapshotMeta:
+    def restore_snapshot(self, snapshot_id: int) -> SnapshotEntry:
         """Swap in a snapshot's cut; refuses (state untouched) on bad checksum."""
         self._require_policy_mode("backup and restoration")
         store = self._require_store()

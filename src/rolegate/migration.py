@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .directory import (
     Action,
     ColumnDef,
     DirectoryState,
+    HierarchyCycle,
     Permission,
     RbacError,
     RestrictionPolicy,
@@ -37,6 +37,7 @@ from .directory import (
     sod_pair,
     topological_order,
 )
+from .restriction import join_fields
 
 FORMAT_VERSION = "1.0"
 BUNDLE_EXTENSION = ".rbac.xml"
@@ -66,6 +67,10 @@ class Issue:
     severity: str
     locator: str
     message: str
+
+    def line(self) -> str:
+        """The ``issue=`` value and the ``validate`` CLI line."""
+        return join_fields(self.severity, self.locator, self.message)
 
 
 @dataclass
@@ -444,31 +449,14 @@ def _validate_semantics(bundle: MigrationBundle, report: ValidationReport) -> No
             report.warning(loc, f"role {role.name!r} grants nothing and inherits nothing")
 
     # Hierarchy cycle check over the declared inherits edges.
-    graph = {r.name: [p for p in r.inherits if p in role_names] for r in bundle.roles}
-    state: dict[str, int] = {}
-
-    def has_cycle(node: str, trail: tuple[str, ...]) -> Optional[tuple[str, ...]]:
-        mark = state.get(node)
-        if mark == 2:
-            return None
-        if mark == 1:
-            return trail + (node,)
-        state[node] = 1
-        for nxt in graph.get(node, ()):
-            found = has_cycle(nxt, trail + (node,))
-            if found:
-                return found
-        state[node] = 2
-        return None
-
-    for name in sorted(graph):
-        cycle = has_cycle(name, ())
-        if cycle:
-            report.error(
-                f"/migration/roles/role[@name={cycle[0]!r}]",
-                "hierarchy cycle: " + " -> ".join(cycle),
-            )
-            break
+    graph = {
+        r.name: Role(r.name, frozenset(p for p in r.inherits if p in role_names))
+        for r in bundle.roles
+    }
+    try:
+        topological_order(graph)
+    except HierarchyCycle as exc:
+        report.error(f"/migration/roles/role[@name={exc.path[0]!r}]", f"hierarchy cycle: {exc}")
 
     user_names: set[str] = set()
     memberships: dict[str, list[str]] = {}
@@ -595,7 +583,6 @@ def import_bundle(xml: bytes, now: int = 0) -> DirectoryState:
                 Permission(resource, Action(action)) for action, resource in br.permissions
             ),
         )
-    topological_order(roles)  # checked invariant; validator already refused cycles
 
     assignments: dict[tuple[str, str], int] = {}
     for bu in bundle.users:

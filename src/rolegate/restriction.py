@@ -9,8 +9,7 @@ policies keeps every counter mutually consistent.
 Every quota rejection emits one anomaly event per violated policy, queued for
 ``drain_anomalies`` and appended to the anomaly log file when one is
 configured.  That file is the hook for external monitors: one event per line,
-tab-separated (ISO-8601 time, policy id, principal, observed, limit,
-request id).
+in the same tab-separated form as ``GET /v1/anomalies`` (``AnomalyEvent.line``).
 
 All public methods are linearizable: a single internal lock orders them.
 """
@@ -57,6 +56,22 @@ class TransactionCounter:
     count: int
 
 
+def iso8601(ts: int) -> str:
+    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+_FIELD_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
+def join_fields(*fields: str) -> str:
+    r"""Join the fields of one wire record with TAB.
+
+    TAB, CR, LF and backslash inside a field are written as ``\t``, ``\r``,
+    ``\n`` and ``\\``, so no value can add a column or a line.
+    """
+    return "\t".join(f.translate(_FIELD_ESCAPES) for f in fields)
+
+
 @dataclass(frozen=True)
 class AnomalyEvent:
     """Evidence of a refused over-limit transaction, emitted exactly once."""
@@ -67,6 +82,13 @@ class AnomalyEvent:
     observed: int
     limit: int
     request_id: str
+
+    def line(self) -> str:
+        """The ``event=`` value and the anomaly log line."""
+        return join_fields(
+            iso8601(self.at), self.policy, self.principal, str(self.observed),
+            str(self.limit), self.request_id,
+        )
 
 
 @dataclass(frozen=True)
@@ -82,15 +104,18 @@ class AuditRecord:
     reason: str
     matched_role: Optional[str] = None
 
+    def line(self) -> str:
+        """The ``record=`` value and the ``audit`` CLI line."""
+        return join_fields(
+            iso8601(self.at), self.request_id, self.subject, self.resource, self.action,
+            self.effect, self.reason, self.matched_role or "-",
+        )
+
 
 @dataclass(frozen=True)
 class ConsumeResult:
     admitted: bool
     rejected_by: Optional[str] = None  # policy id of the first violated policy
-
-
-def iso8601(ts: int) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def applicable_policies(
@@ -151,12 +176,15 @@ class RestrictionMonitor:
         granting_role: str,
         now: int,
         request_id: str,
+        *,
+        dry_run: bool = False,
     ) -> ConsumeResult:
         """Count one would-be-permitted transaction against every applicable policy.
 
         All-or-nothing: if any applicable policy would be exceeded, no counter
         moves, one anomaly event is emitted per violated policy and the first
-        violated policy id is reported.
+        violated policy id is reported.  A dry run gives the same verdict but
+        moves no counter and emits no event.
         """
         bindings = applicable_policies(state, subject, granting_role)
         with self._lock:
@@ -169,32 +197,22 @@ class RestrictionMonitor:
                 if attempt > policy.max_transactions:
                     violated.append((policy, principal, attempt))
             if violated:
-                for policy, principal, attempt in violated:
-                    self._emit(
-                        AnomalyEvent(
-                            at=now,
-                            policy=policy.id,
-                            principal=principal,
-                            observed=attempt,
-                            limit=policy.max_transactions,
-                            request_id=request_id,
+                if not dry_run:
+                    for policy, principal, attempt in violated:
+                        self._emit(
+                            AnomalyEvent(
+                                at=now,
+                                policy=policy.id,
+                                principal=principal,
+                                observed=attempt,
+                                limit=policy.max_transactions,
+                                request_id=request_id,
+                            )
                         )
-                    )
                 return ConsumeResult(False, violated[0][0].id)
-            for policy, principal, eff_now in observed:
-                self._bump(policy, principal, eff_now)
-            return ConsumeResult(True)
-
-    def peek(
-        self, state: DirectoryState, subject: str, granting_role: str, now: int
-    ) -> ConsumeResult:
-        """Dry-run of consume: same verdict, no counter movement, no events."""
-        bindings = applicable_policies(state, subject, granting_role)
-        with self._lock:
-            for policy, principal in bindings:
-                count, _ = self._effective(policy, principal, now)
-                if count + 1 > policy.max_transactions:
-                    return ConsumeResult(False, policy.id)
+            if not dry_run:
+                for policy, principal, eff_now in observed:
+                    self._bump(policy, principal, eff_now)
             return ConsumeResult(True)
 
     def _effective(
@@ -229,18 +247,8 @@ class RestrictionMonitor:
     def _emit(self, event: AnomalyEvent) -> None:
         self._anomalies.append(event)
         if self.anomaly_log_path:
-            line = "\t".join(
-                (
-                    iso8601(event.at),
-                    event.policy,
-                    event.principal,
-                    str(event.observed),
-                    str(event.limit),
-                    event.request_id,
-                )
-            )
             with open(self.anomaly_log_path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(event.line() + "\n")
 
     def drain_anomalies(self) -> list[AnomalyEvent]:
         """Return and clear all pending events, oldest first, exactly once."""

@@ -2,9 +2,15 @@
 
 The wire protocol is plain HTTP/1.1 with UTF-8 ``key=value`` line bodies so
 any generic tool (curl, netcat) can drive it; the exact grammar lives in
-docs/protocol.md and is pinned by golden tests.  Decision requests are open;
-everything that mutates requires the shared admin token when one is
-configured.
+docs/protocol.md and is pinned by golden tests.
+
+``ROUTES`` maps ``(method, path)`` to ``(handler, admin_only)`` and is the
+one list of endpoints.  Handlers are plain functions ``(engine, request) ->
+(status, body)``.  One dispatcher answers unknown routes with 404, checks the
+shared admin token on every mutating route when one is configured, maps
+domain errors to statuses and renders the reply.  A reply sent before the
+request body was read closes the connection, so that body is never parsed as
+the next request.
 
 Decision traffic runs fully concurrent (one thread per connection sharing the
 engine's read lock); import and restore quiesce in-flight decisions through
@@ -20,11 +26,11 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from socketserver import ThreadingMixIn
 from typing import Callable, Optional
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qsl, urlparse
 
 from .config import ServiceConfig
 from .decision import AccessRequest, Decision
-from .directory import Action, Permission, RbacError, RestrictionPolicy
+from .directory import Action, DirectoryMetrics, Permission, RbacError, RestrictionPolicy
 from .engine import Engine
 from .migration import ValidationReport
 from .restriction import RestrictionMonitor, iso8601
@@ -91,12 +97,10 @@ def render_kv(pairs: list[tuple[str, str]]) -> bytes:
 
 
 def one(fields: dict[str, list[str]], key: str) -> str:
-    values = fields.get(key)
-    if not values:
+    value = maybe(fields, key)
+    if value is None:
         raise WireError(f"missing required field {key!r}")
-    if len(values) > 1:
-        raise WireError(f"field {key!r} given more than once")
-    return values[0]
+    return value
 
 
 def maybe(fields: dict[str, list[str]], key: str) -> Optional[str]:
@@ -122,10 +126,20 @@ def decision_pairs(decision: Decision, request_id: str) -> list[tuple[str, str]]
 
 
 def report_pairs(report: ValidationReport) -> list[tuple[str, str]]:
-    pairs = [("ok", "true" if report.ok else "false")]
-    for issue in report.issues:
-        pairs.append(("issue", f"{issue.severity}\t{issue.locator}\t{issue.message}"))
-    return pairs
+    return [("ok", _b(report.ok))] + [("issue", issue.line()) for issue in report.issues]
+
+
+def metrics_pairs(m: DirectoryMetrics) -> list[tuple[str, str]]:
+    ratio = m.ratio_decimal()
+    exact = m.role_user_ratio
+    return [
+        ("num-users", str(m.num_users)),
+        ("num-roles", str(m.num_roles)),
+        ("num-permissions", str(m.num_permissions)),
+        ("num-assignments", str(m.num_assignments)),
+        ("role-user-ratio", "undefined" if ratio is None else ratio),
+        ("role-user-ratio-exact", "undefined" if exact is None else str(exact)),
+    ]
 
 
 def build_access_request(fields: dict[str, list[str]]) -> AccessRequest:
@@ -199,13 +213,13 @@ class Service:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        handler = _make_handler(self)
         try:
-            self._httpd = _Server((self.config.host, self.config.port), handler)
+            self._httpd = _Server((self.config.host, self.config.port), _Handler)
         except OSError as exc:
             raise BindFailure(
                 f"cannot bind {self.config.host}:{self.config.port}: {exc}"
             ) from exc
+        self._httpd.service = self  # what _Handler serves
         if self.config.snapshot_interval_seconds and not self.config.plain_rbac:
             self._snapshot_thread = threading.Thread(
                 target=self._snapshot_loop, name="snapshot-loop", daemon=True
@@ -244,361 +258,284 @@ class Service:
                 logger.error("scheduled snapshot failed: %s", exc)
 
 
-def _make_handler(service: Service):
-    engine = service.engine
-    config = service.config
+class _Handler(BaseHTTPRequestHandler):
+    """One connection; also the request object that route handlers receive."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        server_version = "rolegate"
-        timeout = 30  # idle keep-alive connections must not block shutdown drain
+    protocol_version = "HTTP/1.1"
+    server_version = "rolegate"
+    timeout = 30  # idle keep-alive connections must not block shutdown drain
 
-        def log_message(self, fmt, *args):  # route through logging, not stderr
-            logger.debug("%s %s", self.address_string(), fmt % args)
+    def log_message(self, fmt, *args):  # route through logging, not stderr
+        logger.debug("%s %s", self.address_string(), fmt % args)
 
-        # -- plumbing -----------------------------------------------------
+    # -- what a route handler reads ---------------------------------------
 
-        def _body(self) -> bytes:
-            raw = (self.headers.get("Content-Length") or "0").strip()
-            # 1*DIGIT only: int() also takes "-1", "+5" or "1_0", and
-            # rfile.read(-1) waits for EOF
-            digits = raw.isascii() and raw.isdigit() and len(raw) < 20
-            length = int(raw) if digits else -1
-            if not 0 <= length <= MAX_BODY_BYTES:
-                self.close_connection = True  # the unread body must not parse as a request
-                raise WireError(f"invalid or too large Content-Length: {raw[:32]!r}")
-            return self.rfile.read(length) if length else b""
+    def body(self) -> bytes:
+        """The request body (read once)."""
+        if "Transfer-Encoding" in self.headers:
+            raise WireError("Transfer-Encoding is not supported; send Content-Length")
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        # 1*DIGIT only: int() also takes "-1", "+5" or "1_0", and
+        # rfile.read(-1) waits for EOF
+        digits = raw.isascii() and raw.isdigit() and len(raw) < 20
+        length = int(raw) if digits else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            raise WireError(f"invalid or too large Content-Length: {raw[:32]!r}")
+        self._unread = False
+        return self.rfile.read(length) if length else b""
 
-        def _fields(self) -> dict[str, list[str]]:
-            return parse_kv(self._body().decode("utf-8"))
+    def fields(self) -> dict[str, list[str]]:
+        return parse_kv(self.body().decode("utf-8"))
 
-        def _send(self, status: int, body: bytes, content_type: str = "text/plain; charset=utf-8") -> None:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+    def qi(self, key: str) -> Optional[int]:
+        raw = self.query.get(key)
+        return None if raw is None else _int(raw, f"query parameter {key!r}")
 
-        def _send_kv(self, status: int, pairs: list[tuple[str, str]]) -> None:
-            self._send(status, render_kv(pairs))
+    # -- dispatch ------------------------------------------------------------
 
-        def _fail(self, status: int, code: str, message: str) -> None:
-            self._send_kv(status, [("error", code), ("message", message)])
+    def _dispatch(self) -> None:
+        method = self.command
+        url = urlparse(self.path)
+        self.query = dict(parse_qsl(url.query))  # a repeated parameter: the last wins
+        length = (self.headers.get("Content-Length") or "0").strip()
+        self._unread = length != "0" or "Transfer-Encoding" in self.headers
+        route, self.param = _resolve(method, url.path)
+        try:
+            if route is None:
+                status, body = 404, _error("not-found", f"no route for {method} {url.path}")
+            elif route[1] and not self._authorized():
+                status, body = 401, _error("unauthorized", "missing or wrong admin token")
+            else:
+                status, body = route[0](self.server.service.engine, self)
+        except (WireError, ValueError) as exc:
+            status, body = 400, _error("bad-request", str(exc))
+        except RbacError as exc:
+            status, body = _STATUS.get(exc.code, 500), _error(exc.code, str(exc))
+        except Exception:  # pragma: no cover - last-resort guard
+            logger.exception("unhandled error for %s %s", method, self.path)
+            status, body = 500, _error("internal-error", "unhandled server error")
+        self._reply(status, body)
 
-        def _authorized(self) -> bool:
-            if not config.api_token:
-                return True
-            given = self.headers.get(TOKEN_HEADER) or ""
-            return hmac.compare_digest(given.encode(), config.api_token.encode())
+    do_GET = do_POST = do_DELETE = _dispatch
 
-        def _admin_guard(self) -> bool:
-            if not self._authorized():
-                self._fail(401, "unauthorized", "missing or wrong admin token")
-                return False
+    def _authorized(self) -> bool:
+        token = self.server.service.config.api_token
+        if not token:
             return True
+        given = self.headers.get(TOKEN_HEADER) or ""
+        return hmac.compare_digest(given.encode(), token.encode())
 
-        # -- dispatch ------------------------------------------------------
+    def _reply(self, status: int, body) -> None:
+        if isinstance(body, bytes):
+            content_type = "application/xml; charset=utf-8"
+        else:
+            body, content_type = render_kv(body), "text/plain; charset=utf-8"
+        self.send_response(status)
+        if self._unread:  # the unread body must not parse as the next request
+            self.send_header("Connection", "close")
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
 
-        def do_GET(self) -> None:
-            self._dispatch("GET")
 
-        def do_POST(self) -> None:
-            self._dispatch("POST")
+def _resolve(method: str, path: str):
+    """The route for a request and the path's ``{id}`` segment, if it has one."""
+    route = ROUTES.get((method, path))
+    if route is not None or path.count("/") != 4:
+        return route, None
+    parts = path.split("/")
+    param, parts[3] = parts[3], "{id}"
+    return ROUTES.get((method, "/".join(parts))), param
 
-        def do_DELETE(self) -> None:
-            self._dispatch("DELETE")
 
-        def _dispatch(self, method: str) -> None:
-            url = urlparse(self.path)
-            query = parse_qs(url.query)
-            try:
-                handled = self._route(method, url.path, query)
-            except (WireError, ValueError) as exc:
-                self._fail(400, "bad-request", str(exc))
-                return
-            except RbacError as exc:
-                self._fail(_STATUS.get(exc.code, 500), exc.code, str(exc))
-                return
-            except Exception:  # pragma: no cover - last-resort guard
-                logger.exception("unhandled error for %s %s", method, self.path)
-                self._fail(500, "internal-error", "unhandled server error")
-                return
-            if not handled:
-                self._fail(404, "not-found", f"no route for {method} {url.path}")
+def _error(code: str, message: str) -> list[tuple[str, str]]:
+    return [("error", code), ("message", message)]
 
-        def _route(self, method: str, path: str, query: dict) -> bool:
-            if method == "POST" and path == "/v1/decision":
-                fields = self._fields()
-                request = build_access_request(fields)
-                decision = engine.check_access(request)
-                self._send_kv(200, decision_pairs(decision, request.request_id))
-                return True
 
-            if method == "GET" and path == "/v1/health":
-                mode = "plain-rbac" if engine.plain_rbac else "policy"
-                self._send_kv(200, [("status", "ready"), ("mode", mode)])
-                return True
+def _listing(key: str, items) -> list[tuple[str, str]]:
+    return [("count", str(len(items)))] + [(key, item.line()) for item in items]
 
-            if method == "GET" and path == "/v1/capabilities":
-                caps = engine.capabilities()
-                self._send_kv(
-                    200,
-                    [
-                        ("xml-based-migration", _b(caps.xml_based_migration)),
-                        ("restricting-user-role", _b(caps.restricting_user_role)),
-                        ("backup-restoration", _b(caps.backup_restoration)),
-                        ("transaction-limit", _b(caps.transaction_limit)),
-                        ("security-level", caps.security_level),
-                    ],
-                )
-                return True
 
-            if method == "GET" and path == "/v1/metrics":
-                m = engine.metrics()
-                ratio = m.ratio_decimal()
-                exact = str(m.role_user_ratio) if m.role_user_ratio is not None else None
-                self._send_kv(
-                    200,
-                    [
-                        ("num-users", str(m.num_users)),
-                        ("num-roles", str(m.num_roles)),
-                        ("num-permissions", str(m.num_permissions)),
-                        ("num-assignments", str(m.num_assignments)),
-                        ("role-user-ratio", ratio if ratio is not None else "undefined"),
-                        ("role-user-ratio-exact", exact if exact is not None else "undefined"),
-                    ],
-                )
-                return True
+# -- routes ----------------------------------------------------------------
+#
+# Each handler takes the engine and the request (``body()``, ``fields()``,
+# ``query``, ``qi()``, ``param``) and returns (status, body), where body is a
+# list of key=value pairs or, for the bundle export, XML bytes.  The
+# dispatcher alone answers 404 and 401, maps errors to statuses and renders.
 
-            if method == "GET" and path == "/v1/export":
-                self._send(200, engine.export_xml(), "application/xml; charset=utf-8")
-                return True
 
-            if method == "POST" and path == "/v1/validate":
-                report = engine.validate_xml(self._body())
-                self._send_kv(200, report_pairs(report))
-                return True
+def _decision(engine: Engine, req: _Handler):
+    request = build_access_request(req.fields())
+    return 200, decision_pairs(engine.check_access(request), request.request_id)
 
-            if method == "POST" and path == "/v1/import":
-                if not self._admin_guard():
-                    return True
-                engine.import_xml(self._body())
-                self._send_kv(200, [("imported", "ok")])
-                return True
 
-            if method == "GET" and path == "/v1/audit":
-                records = engine.query_audit(
-                    subject=_q(query, "subject"),
-                    effect=_q(query, "effect"),
-                    since=_qi(query, "since"),
-                    until=_qi(query, "until"),
-                    limit=_qi(query, "limit") or 1000,
-                )
-                pairs = [
-                    (
-                        "record",
-                        "\t".join(
-                            (
-                                iso8601(r.at),
-                                r.request_id,
-                                r.subject,
-                                r.resource,
-                                r.action,
-                                r.effect,
-                                r.reason,
-                                r.matched_role or "-",
-                            )
-                        ),
-                    )
-                    for r in records
-                ]
-                self._send_kv(200, [("count", str(len(records)))] + pairs)
-                return True
+def _health(engine: Engine, req: _Handler):
+    return 200, [("status", "ready"), ("mode", "plain-rbac" if engine.plain_rbac else "policy")]
 
-            if method == "GET" and path == "/v1/anomalies":
-                peek = _q(query, "peek") == "1"
-                events = (
-                    engine.monitor.pending_anomalies() if peek else engine.drain_anomalies()
-                )
-                pairs = [
-                    (
-                        "event",
-                        "\t".join(
-                            (
-                                iso8601(e.at),
-                                e.policy,
-                                e.principal,
-                                str(e.observed),
-                                str(e.limit),
-                                e.request_id,
-                            )
-                        ),
-                    )
-                    for e in events
-                ]
-                self._send_kv(200, [("count", str(len(events)))] + pairs)
-                return True
 
-            if method == "POST" and path == "/v1/users":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                name = engine.create_user(one(fields, "name"))
-                self._send_kv(201, [("created", name)])
-                return True
+def _capabilities(engine: Engine, req: _Handler):
+    caps = engine.capabilities()
+    return 200, [
+        ("xml-based-migration", _b(caps.xml_based_migration)),
+        ("restricting-user-role", _b(caps.restricting_user_role)),
+        ("backup-restoration", _b(caps.backup_restoration)),
+        ("transaction-limit", _b(caps.transaction_limit)),
+        ("security-level", caps.security_level),
+    ]
 
-            if method == "POST" and path == "/v1/roles":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                name = one(fields, "name")
-                engine.create_role(name, fields.get("inherits", []))
-                for raw in fields.get("permission", []):
-                    action, _, resource = raw.partition(" ")
-                    engine.grant_permission(name, _permission(action, resource))
-                self._send_kv(201, [("created", name)])
-                return True
 
-            if method == "POST" and path == "/v1/grants":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                role = one(fields, "role")
-                perm = _permission(one(fields, "action"), one(fields, "resource"))
-                engine.grant_permission(role, perm)
-                self._send_kv(200, [("granted", f"{role}\t{perm.action.value}\t{perm.resource}")])
-                return True
+def _metrics(engine: Engine, req: _Handler):
+    return 200, metrics_pairs(engine.metrics())
 
-            if method == "POST" and path == "/v1/assignments":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                assignment = engine.assign_role(one(fields, "user"), one(fields, "role"))
-                self._send_kv(
-                    201,
-                    [
-                        ("assigned", f"{assignment.user}\t{assignment.role}"),
-                        ("assigned-at", str(assignment.assigned_at)),
-                    ],
-                )
-                return True
 
-            if method == "DELETE" and path == "/v1/assignments":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                user, role = one(fields, "user"), one(fields, "role")
-                engine.revoke_role(user, role)
-                self._send_kv(200, [("revoked", f"{user}\t{role}")])
-                return True
+def _export(engine: Engine, req: _Handler):
+    return 200, engine.export_xml()
 
-            if method == "POST" and path == "/v1/sod":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                a, b = one(fields, "role-a"), one(fields, "role-b")
-                engine.add_sod_constraint(a, b)
-                self._send_kv(201, [("exclusive", f"{min(a, b)}\t{max(a, b)}")])
-                return True
 
-            if method == "POST" and path == "/v1/restrictions":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                policy = RestrictionPolicy(
-                    id=one(fields, "id"),
-                    scope=one(fields, "scope"),
-                    max_transactions=_int(one(fields, "max-transactions"), "max-transactions"),
-                    window_seconds=_int(one(fields, "window-seconds"), "window-seconds"),
-                    target=maybe(fields, "target"),
-                    max_users=(
-                        _int(maybe(fields, "max-users"), "max-users")
-                        if maybe(fields, "max-users") is not None
-                        else None
-                    ),
-                )
-                engine.add_restriction(policy)
-                self._send_kv(201, [("created", policy.id)])
-                return True
+def _validate(engine: Engine, req: _Handler):
+    return 200, report_pairs(engine.validate_xml(req.body()))
 
-            if method == "POST" and path == "/v1/snapshots":
-                if not self._admin_guard():
-                    return True
-                fields = self._fields()
-                reason = maybe(fields, "reason") or "manual"
-                meta = engine.create_snapshot(reason=reason)
-                self._send_kv(
-                    201,
-                    [
-                        ("id", str(meta.id)),
-                        ("created-at", iso8601(meta.created_at)),
-                        ("checksum", meta.checksum),
-                        ("size", str(meta.size_bytes)),
-                    ],
-                )
-                return True
 
-            if method == "GET" and path == "/v1/snapshots":
-                verify = _q(query, "verify") == "1"
-                entries = engine.list_snapshots(verify=verify)
-                pairs = []
-                for e in entries:
-                    status = "-" if e.verified is None else ("ok" if e.verified else "corrupt")
-                    pairs.append(
-                        (
-                            "snapshot",
-                            "\t".join(
-                                (
-                                    str(e.id),
-                                    iso8601(e.created_at),
-                                    e.checksum,
-                                    str(e.size_bytes),
-                                    status,
-                                )
-                            ),
-                        )
-                    )
-                self._send_kv(200, [("count", str(len(entries)))] + pairs)
-                return True
+def _import(engine: Engine, req: _Handler):
+    engine.import_xml(req.body())
+    return 200, [("imported", "ok")]
 
-            if method == "POST" and path.startswith("/v1/snapshots/") and path.endswith("/restore"):
-                if not self._admin_guard():
-                    return True
-                raw_id = path[len("/v1/snapshots/") : -len("/restore")]
-                if not raw_id.isdigit():
-                    raise WireError(f"snapshot id must be an integer, got {raw_id!r}")
-                meta = engine.restore_snapshot(int(raw_id))
-                self._send_kv(200, [("restored", str(meta.id)), ("checksum", meta.checksum)])
-                return True
 
-            return False
+def _audit(engine: Engine, req: _Handler):
+    records = engine.query_audit(
+        subject=req.query.get("subject"),
+        effect=req.query.get("effect"),
+        since=req.qi("since"),
+        until=req.qi("until"),
+        limit=req.qi("limit") or 1000,
+    )
+    return 200, _listing("record", records)
 
-    return Handler
+
+def _anomalies(engine: Engine, req: _Handler):
+    if req.query.get("peek") == "1":
+        return 200, _listing("event", engine.monitor.pending_anomalies())
+    return 200, _listing("event", engine.drain_anomalies())
+
+
+def _create_user(engine: Engine, req: _Handler):
+    return 201, [("created", engine.create_user(one(req.fields(), "name")))]
+
+
+def _create_role(engine: Engine, req: _Handler):
+    fields = req.fields()
+    name = one(fields, "name")
+    perms = []  # all parsed before the role exists, so a bad one leaves no role
+    for raw in fields.get("permission", []):
+        action, _, resource = raw.partition(" ")
+        perms.append(_permission(action, resource))
+    engine.create_role(name, fields.get("inherits", []))
+    for perm in perms:
+        engine.grant_permission(name, perm)
+    return 201, [("created", name)]
+
+
+def _grant(engine: Engine, req: _Handler):
+    fields = req.fields()
+    role = one(fields, "role")
+    perm = _permission(one(fields, "action"), one(fields, "resource"))
+    engine.grant_permission(role, perm)
+    return 200, [("granted", f"{role}\t{perm.action.value}\t{perm.resource}")]
+
+
+def _assign(engine: Engine, req: _Handler):
+    fields = req.fields()
+    assignment = engine.assign_role(one(fields, "user"), one(fields, "role"))
+    return 201, [
+        ("assigned", f"{assignment.user}\t{assignment.role}"),
+        ("assigned-at", str(assignment.assigned_at)),
+    ]
+
+
+def _revoke(engine: Engine, req: _Handler):
+    fields = req.fields()
+    user, role = one(fields, "user"), one(fields, "role")
+    engine.revoke_role(user, role)
+    return 200, [("revoked", f"{user}\t{role}")]
+
+
+def _sod(engine: Engine, req: _Handler):
+    fields = req.fields()
+    a, b = one(fields, "role-a"), one(fields, "role-b")
+    engine.add_sod_constraint(a, b)
+    return 201, [("exclusive", f"{min(a, b)}\t{max(a, b)}")]
+
+
+def _restrict(engine: Engine, req: _Handler):
+    fields = req.fields()
+    max_users = maybe(fields, "max-users")
+    policy = RestrictionPolicy(
+        id=one(fields, "id"),
+        scope=one(fields, "scope"),
+        max_transactions=_int(one(fields, "max-transactions"), "max-transactions"),
+        window_seconds=_int(one(fields, "window-seconds"), "window-seconds"),
+        target=maybe(fields, "target"),
+        max_users=None if max_users is None else _int(max_users, "max-users"),
+    )
+    engine.add_restriction(policy)
+    return 201, [("created", policy.id)]
+
+
+def _create_snapshot(engine: Engine, req: _Handler):
+    meta = engine.create_snapshot(reason=maybe(req.fields(), "reason") or "manual")
+    return 201, [
+        ("id", str(meta.id)),
+        ("created-at", iso8601(meta.created_at)),
+        ("checksum", meta.checksum),
+        ("size", str(meta.size_bytes)),
+    ]
+
+
+def _list_snapshots(engine: Engine, req: _Handler):
+    return 200, _listing("snapshot", engine.list_snapshots(verify=req.query.get("verify") == "1"))
+
+
+def _restore(engine: Engine, req: _Handler):
+    if not req.param.isdigit():
+        raise WireError(f"snapshot id must be an integer, got {req.param!r}")
+    meta = engine.restore_snapshot(int(req.param))
+    return 200, [("restored", str(meta.id)), ("checksum", meta.checksum)]
+
+
+# (method, path) -> (handler, admin_only); docs/protocol.md section 1 lists
+# the same routes, and a test keeps the two equal.
+ROUTES = {
+    ("POST", "/v1/decision"): (_decision, False),
+    ("GET", "/v1/health"): (_health, False),
+    ("GET", "/v1/capabilities"): (_capabilities, False),
+    ("GET", "/v1/metrics"): (_metrics, False),
+    ("GET", "/v1/export"): (_export, False),
+    ("POST", "/v1/validate"): (_validate, False),
+    ("GET", "/v1/audit"): (_audit, False),
+    ("GET", "/v1/anomalies"): (_anomalies, False),
+    ("GET", "/v1/snapshots"): (_list_snapshots, False),
+    ("POST", "/v1/import"): (_import, True),
+    ("POST", "/v1/users"): (_create_user, True),
+    ("POST", "/v1/roles"): (_create_role, True),
+    ("POST", "/v1/grants"): (_grant, True),
+    ("POST", "/v1/assignments"): (_assign, True),
+    ("DELETE", "/v1/assignments"): (_revoke, True),
+    ("POST", "/v1/sod"): (_sod, True),
+    ("POST", "/v1/restrictions"): (_restrict, True),
+    ("POST", "/v1/snapshots"): (_create_snapshot, True),
+    ("POST", "/v1/snapshots/{id}/restore"): (_restore, True),
+}
 
 
 def _b(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _q(query: dict, key: str) -> Optional[str]:
-    values = query.get(key)
-    return values[-1] if values else None
-
-
-def _qi(query: dict, key: str) -> Optional[int]:
-    raw = _q(query, key)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise WireError(f"query parameter {key!r} must be an integer")
-
-
 def _int(raw: str, what: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise WireError(f"{what} must be an integer, got {raw!r}")
 
 

@@ -25,13 +25,13 @@ import json
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
 from .directory import DirectoryState, RbacError
 from .migration import export_bundle, import_bundle
-from .restriction import AnomalyEvent, AuditRecord, TransactionCounter
+from .restriction import AnomalyEvent, AuditRecord, TransactionCounter, iso8601, join_fields
 
 MAGIC = b"RBAK"
 FILE_VERSION = 1
@@ -67,20 +67,21 @@ class EngineCut:
 
 
 @dataclass(frozen=True)
-class SnapshotMeta:
-    id: int
-    created_at: int
-    checksum: str
-    size_bytes: int
-
-
-@dataclass(frozen=True)
 class SnapshotEntry:
+    """One snapshot in the catalog (id 0 for the live state file)."""
+
     id: int
     created_at: int
     checksum: str
     size_bytes: int
     verified: Optional[bool] = None  # None when verification was not requested
+
+    def line(self) -> str:
+        """The ``snapshot=`` value and the ``snapshot list`` CLI line."""
+        status = "-" if self.verified is None else ("ok" if self.verified else "corrupt")
+        return join_fields(
+            str(self.id), iso8601(self.created_at), self.checksum, str(self.size_bytes), status
+        )
 
 
 def _wrap_os_error(exc: OSError) -> RbacError:
@@ -244,7 +245,7 @@ def decode_cut(blob: bytes) -> EngineCut:
     )
 
 
-def write_state_file(path: Path, cut: EngineCut) -> SnapshotMeta:
+def write_state_file(path: Path, cut: EngineCut) -> SnapshotEntry:
     """Atomically write a cut to ``path`` (temp file + fsync + rename)."""
     blob = encode_cut(cut)
     path = Path(path)
@@ -267,9 +268,8 @@ def write_state_file(path: Path, cut: EngineCut) -> SnapshotMeta:
         except OSError:
             pass
         raise _wrap_os_error(exc) from exc
-    start, end = payload_span(blob)
-    checksum = hashlib.sha256(blob[start:end]).hexdigest()
-    return SnapshotMeta(
+    checksum = blob[-hashlib.sha256().digest_size :].hex()  # the digest encode_cut stored
+    return SnapshotEntry(
         id=0, created_at=cut.captured_at, checksum=checksum, size_bytes=len(blob)
     )
 
@@ -314,7 +314,7 @@ class SnapshotStore:
         ids = self.ids()
         return ids[-1] if ids else None
 
-    def save(self, cut: EngineCut) -> SnapshotMeta:
+    def save(self, cut: EngineCut) -> SnapshotEntry:
         """Durably write a new snapshot; prune old ones after success."""
         with self._lock:
             try:
@@ -323,13 +323,7 @@ class SnapshotStore:
                 raise _wrap_os_error(exc) from exc
             existing = self.ids()
             snapshot_id = (existing[-1] + 1) if existing else 1
-            meta = write_state_file(self.path_for(snapshot_id), cut)
-            meta = SnapshotMeta(
-                id=snapshot_id,
-                created_at=meta.created_at,
-                checksum=meta.checksum,
-                size_bytes=meta.size_bytes,
-            )
+            meta = replace(write_state_file(self.path_for(snapshot_id), cut), id=snapshot_id)
             if self.keep_last:
                 for old_id in self.ids()[: -self.keep_last] or []:
                     try:
@@ -341,7 +335,7 @@ class SnapshotStore:
     def load(self, snapshot_id: int) -> EngineCut:
         return self.load_with_meta(snapshot_id)[0]
 
-    def load_with_meta(self, snapshot_id: int) -> tuple[EngineCut, SnapshotMeta]:
+    def load_with_meta(self, snapshot_id: int) -> tuple[EngineCut, SnapshotEntry]:
         """The verified cut and its catalog metadata, both from one read.
 
         Retention may prune the file right after the read; the metadata does
@@ -356,7 +350,7 @@ class SnapshotStore:
             raise _wrap_os_error(exc) from exc
         cut = decode_cut(blob)
         checksum = blob[-hashlib.sha256().digest_size :].hex()
-        return cut, SnapshotMeta(snapshot_id, cut.captured_at, checksum, len(blob))
+        return cut, SnapshotEntry(snapshot_id, cut.captured_at, checksum, len(blob))
 
     def list_entries(self, verify: bool = False) -> list[SnapshotEntry]:
         """Catalog entries in id order; checksums re-verified only on request."""

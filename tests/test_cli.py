@@ -213,6 +213,14 @@ class TestReporting:
         code, out, _ = run(capsys, "--data-dir", data_dir, "anomalies")
         assert out.strip() == ""
 
+    def test_audit_line_escapes_separators(self, capsys, data_dir):
+        seed(capsys, data_dir)
+        run(capsys, "--data-dir", data_dir, "check", "--user", "a\tb", "--resource", "x\ny", "--action", "read")
+        code, out, _ = run(capsys, "--data-dir", data_dir, "audit")
+        assert code == 0
+        (line,) = out.splitlines()
+        assert line.split("\t")[2:] == ["a\\tb", "x\\ny", "read", "deny", "unknown-subject", "-"]
+
     def test_plain_mode_blocks_export(self, capsys, data_dir):
         seed(capsys, data_dir)
         code, _, err = run(capsys, "--data-dir", data_dir, "--plain-rbac", "export")

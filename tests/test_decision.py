@@ -236,10 +236,17 @@ class TestExplain:
                 id="lim", scope="per-user", max_transactions=1, window_seconds=60
             )
         )
+        decision, trace = engine.explain(req("alice", "docs", "write"))
+        assert decision.effect is Effect.PERMIT
+        assert ("quota", "", "admit") in [(s.phase, s.item, s.outcome) for s in trace]
+        assert engine.monitor.cut()[0] == []  # admitting moved no counter
         assert engine.check_access(req("alice", "docs", "write")).effect is Effect.PERMIT
+        counters = engine.monitor.cut()[0]
         decision, trace = engine.explain(req("alice", "docs", "write"))
         assert decision.reason is Reason.QUOTA_EXCEEDED
-        assert any(s.phase == "quota" and s.outcome == "exhausted" for s in trace)
+        assert ("quota", "lim", "exhausted") in [(s.phase, s.item, s.outcome) for s in trace]
+        assert engine.monitor.cut()[0] == counters
+        assert engine.monitor.pending_anomalies() == []  # exhausting emitted no event
 
 
     def test_full_trace_golden(self, engine):

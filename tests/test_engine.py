@@ -267,3 +267,43 @@ class TestObligationInstall:
         )
         eng.set_obligations([policy], require_known_roles=False)
         assert eng.obligations == (policy,)
+
+
+class TestDeepHierarchy:
+    DEPTH = 1500
+
+    def chain(self):
+        """c01499 at the base up to c00000 at the top, so the sorted walk
+        starts at the most senior role and goes the full depth."""
+        state = d.DirectoryState.empty()
+        below = []
+        for i in range(self.DEPTH - 1, -1, -1):
+            name = f"c{i:05d}"
+            state = d.create_role(state, name, below)
+            below = [name]
+        return state
+
+    def test_deep_chain_reopens_validates_imports_and_restores(self, tmp_path):
+        from rolegate import SnapshotStore, import_bundle, validate_bundle
+
+        state = self.chain()
+        store = SnapshotStore(tmp_path / "snapshots")
+        Engine(state, live_path=tmp_path / "live.rbak", snapshot_store=store).flush()
+
+        engine = Engine.open(tmp_path / "live.rbak", snapshot_store=store)
+        assert engine.state.roles == state.roles
+        xml = engine.export_xml()
+        assert validate_bundle(xml).ok
+        assert import_bundle(xml).roles == state.roles
+        engine.import_xml(xml)
+        snapshot = engine.create_snapshot()
+        engine.create_user("late")
+        engine.restore_snapshot(snapshot.id)
+        assert engine.state.roles == state.roles
+        assert "late" not in engine.state.users
+
+        looped = xml.replace(b'<role name="c01499"/>', b'<role name="c01499"><inherits role="c00000"/></role>')
+        (issue,) = [i for i in validate_bundle(looped).issues if "hierarchy cycle" in i.message]
+        assert issue.message.startswith("hierarchy cycle: c00000 -> c00001 -> ")
+        assert issue.message.endswith(" -> c01499 -> c00000")
+        assert issue.locator == "/migration/roles/role[@name='c00000']"

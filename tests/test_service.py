@@ -1,14 +1,16 @@
 """HTTP API: wire grammar goldens, auth, endpoint/library equivalence."""
 
 import http.client
+import re
 import socket
 import threading
+from pathlib import Path
 
 import pytest
 
-from rolegate import AccessRequest, Action
+from rolegate import AccessRequest, Action, Engine
 from rolegate.config import ServiceConfig
-from rolegate.service import BindFailure, Service, parse_kv
+from rolegate.service import ROUTES, BindFailure, Service, parse_kv
 
 TOKEN = "test-token"
 
@@ -178,6 +180,29 @@ class TestContentLength:
         assert reply.count(b"HTTP/1.1 ") == 1  # the unread body was not parsed as a request
 
 
+class TestUnreadBody:
+    @pytest.mark.parametrize(
+        "head, body, status",
+        [
+            (b"POST /v1/users HTTP/1.1\r\nHost: x\r\nX-Api-Token: wrong\r\nContent-Length: 12",
+             b"name=mallory", b"401"),
+            (b"POST /v1/nope HTTP/1.1\r\nHost: x\r\nContent-Length: 12", b"name=mallory", b"404"),
+            (b"POST /v1/users HTTP/1.1\r\nHost: x\r\nX-Api-Token: " + TOKEN.encode()
+             + b"\r\nTransfer-Encoding: chunked", b"d\r\nname=mallory\n\r\n0\r\n\r\n", b"400"),
+        ],
+        ids=["wrong-token", "unknown-route", "chunked"],
+    )
+    def test_reply_before_body_read_does_not_desync(self, service, head, body, status):
+        health = b"GET /v1/health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        reply = raw_exchange(service, head, body + health)
+        end = reply.index(b"\r\n\r\n") + 4
+        end += int(re.search(rb"Content-Length: (\d+)", reply[:end]).group(1))
+        first, rest = reply[:end], reply[end:]
+        assert first.startswith(b"HTTP/1.1 " + status + b" ")
+        # the unread body never parses as a request: EOF, or the health reply
+        assert rest == b"" or (rest.startswith(b"HTTP/1.1 200 ") and b"status=ready" in rest)
+
+
 class TestAuth:
     def test_admin_mutation_requires_token(self, service):
         status, body = call(service, "POST", "/v1/users", "name=x\n")
@@ -323,6 +348,18 @@ class TestAdminEndpoints:
         assert "\tb" in fields["event"][0] or fields["event"][0].endswith("b")
 
 
+class TestRolesAtomic:
+    @pytest.mark.parametrize("bad", ["permission=fly docs", "permission=read bad res"])
+    def test_bad_permission_leaves_no_role(self, service, bad):
+        seed_directory(service)
+        status, body = call(
+            service, "POST", "/v1/roles", f"name=half\npermission=read docs\n{bad}\n", TOKEN
+        )
+        assert status == 400
+        assert "half" not in service.engine.state.roles
+        assert "half" not in Engine.open(service.config.live_path).state.roles
+
+
 class TestMonitoringEndpoints:
     def test_audit_records_and_filters(self, service):
         seed_directory(service)
@@ -368,6 +405,41 @@ class TestMonitoringEndpoints:
         status, body = call(service, "GET", "/v1/health")
         assert status == 200
         assert parse_kv(body.decode())["status"] == ["ready"]
+
+
+class TestFieldEscaping:
+    def test_separators_in_values_cannot_forge_audit_columns(self, service):
+        body = "subject=a\tb\\c\rd\nresource=docs\tx\naction=read\nrequest-id=r\t1\n"
+        assert call(service, "POST", "/v1/decision", body)[0] == 200
+        _, audit = call(service, "GET", "/v1/audit")
+        (record,) = parse_kv(audit.decode())["record"]
+        assert record.split("\t")[1:] == [
+            "r\\t1", "a\\tb\\\\c\\rd", "docs\\tx", "read", "deny", "unknown-subject", "-"
+        ]
+
+    def test_tab_in_request_id_cannot_forge_anomaly_columns(self, service):
+        seed_directory(service)
+        limit = "id=lim\nscope=per-user\nmax-transactions=1\nwindow-seconds=3600\n"
+        assert call(service, "POST", "/v1/restrictions", limit, TOKEN)[0] == 201
+        for rid in ("a", "b\tforged"):
+            call(service, "POST", "/v1/decision", f"subject=alice\nresource=docs\naction=read\nrequest-id={rid}\n")
+        (line,) = service.config.anomaly_log.read_text().splitlines()
+        assert line.split("\t")[1:] == ["lim", "alice", "2", "1", "b\\tforged"]
+        _, events = call(service, "GET", "/v1/anomalies")
+        assert parse_kv(events.decode())["event"] == [line]
+
+
+class TestRouteTable:
+    def test_protocol_doc_lists_exactly_the_routes(self):
+        doc = (Path(__file__).parents[1] / "docs" / "protocol.md").read_text()
+        section = doc[doc.index("## 1. HTTP wire protocol") : doc.index("## 2. ")]
+        route = r"(GET|POST|DELETE) (/[^\s`?|]+)"
+        headings = set(re.findall(rf"^#### {route}", section, re.M))
+        admin = set(re.findall(rf"^\| {route}", section, re.M))
+        reads = set(re.findall(rf"^\* `{route}", section, re.M))
+        assert headings == {("POST", "/v1/decision")}
+        assert headings | admin | reads == set(ROUTES)
+        assert admin == {key for key, (_, admin_only) in ROUTES.items() if admin_only}
 
 
 class TestMigrationEndpoints:
