@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 _TOKEN_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
 _RESOURCE_RE = re.compile(r"^[^\s\x00-\x1f\x7f]{1,256}$")
@@ -273,10 +273,6 @@ class DirectoryState:
         """The role's effective ``(resource, action)`` pairs, inherited ones included."""
         return self._permission_keys[role]
 
-    def iter_assignments(self) -> Iterator[Assignment]:
-        for (user, role), at in sorted(self.assignments.items()):
-            yield Assignment(user, role, at)
-
     @cached_property
     def _direct_roles(self) -> dict[str, frozenset[str]]:
         held: defaultdict[str, list[str]] = defaultdict(list)
@@ -373,9 +369,9 @@ def create_role(
         if p not in state.roles:
             raise UnknownRole(p)
     roles = dict(state.roles)
+    # Parents must already exist and nothing inherits from the new role yet,
+    # so no cycle can form.
     roles[name] = Role(name=name, parents=parent_set)
-    # Parents must already exist, so no cycle can form; checked invariant.
-    topological_order(roles)
     return replace(state, roles=roles)
 
 

@@ -137,26 +137,13 @@ class Engine:
         self._rw = RWLock()
 
     @classmethod
-    def open(
-        cls,
-        live_path: Path,
-        *,
-        monitor: Optional[RestrictionMonitor] = None,
-        obligations: Sequence[ObligationPolicy] = (),
-        clock: Callable[[], float] = time.time,
-        plain_rbac: bool = False,
-        snapshot_store: Optional[SnapshotStore] = None,
-    ) -> "Engine":
-        """Load the engine from a live state file, or start empty if absent."""
+    def open(cls, live_path: Path, **kwargs) -> "Engine":
+        """Load the engine from a live state file, or start empty if absent.
+
+        ``kwargs`` are the keyword parameters of ``Engine.__init__``.
+        """
         live_path = Path(live_path)
-        engine = cls(
-            monitor=monitor,
-            obligations=obligations,
-            clock=clock,
-            plain_rbac=plain_rbac,
-            snapshot_store=snapshot_store,
-            live_path=live_path,
-        )
+        engine = cls(live_path=live_path, **kwargs)
         if live_path.is_file():
             cut = read_state_file(live_path)
             engine._state = cut.state

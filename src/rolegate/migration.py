@@ -11,13 +11,19 @@ tag, set-like sibling elements sorted by their identifying attribute.  Table
 columns are the one exception: their order is semantic and preserved exactly
 as declared.
 
-Import is replace-not-merge and refuses any bundle whose validation report
-contains errors, so a failed import cannot leave a partially applied state.
+One reader serves validation and import.  ``_SCHEMA`` describes every
+element; a single structural walk checks the tree against it, and the
+semantic checks (names, references, cycles, exclusive pairs, numeric values)
+read the parsed elements directly.  Import runs exactly the checks
+``validate_bundle`` runs, refuses any bundle whose report contains errors,
+and then builds the state from the same elements.  Import is
+replace-not-merge, so a failed import cannot leave a partially applied state.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .directory import (
@@ -91,51 +97,6 @@ class ValidationReport:
         errors = sum(1 for i in self.issues if i.severity == SEVERITY_ERROR)
         warnings = len(self.issues) - errors
         return f"{errors} error(s), {warnings} warning(s)"
-
-
-# Raw parse tree: values are kept as strings so the validator can report bad
-# values instead of crashing on them.
-
-
-@dataclass
-class BundleColumn:
-    name: str
-    type: str
-    nullable: str
-
-
-@dataclass
-class BundleTable:
-    name: str
-    columns: list[BundleColumn] = field(default_factory=list)
-
-
-@dataclass
-class BundleRole:
-    name: str
-    inherits: list[str] = field(default_factory=list)
-    permissions: list[tuple[str, str]] = field(default_factory=list)  # (action, resource)
-
-
-@dataclass
-class BundleUser:
-    name: str
-    member_of: list[str] = field(default_factory=list)
-
-
-@dataclass
-class BundleRestriction:
-    attrs: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class MigrationBundle:
-    format_version: str
-    tables: list[BundleTable] = field(default_factory=list)
-    roles: list[BundleRole] = field(default_factory=list)
-    users: list[BundleUser] = field(default_factory=list)
-    restrictions: list[BundleRestriction] = field(default_factory=list)
-    sod: list[tuple[str, str]] = field(default_factory=list)
 
 
 # -- export ---------------------------------------------------------------
@@ -253,205 +214,176 @@ def export_bundle(state: DirectoryState) -> bytes:
     return w.bytes()
 
 
-# -- parse -------------------------------------------------------------------
+# -- read ----------------------------------------------------------------------
 
-
-_EXPECTED = {
-    "migration": ({"format-version"}, {"schema", "roles", "users", "restrictions", "sod"}),
-    "schema": (set(), {"table"}),
-    "table": ({"name"}, {"column"}),
-    "column": ({"name", "type", "nullable"}, set()),
-    "roles": (set(), {"role"}),
-    "role": ({"name"}, {"inherits", "permission"}),
-    "inherits": ({"role"}, set()),
-    "permission": ({"action", "resource"}, set()),
-    "users": (set(), {"user"}),
-    "user": ({"name"}, {"member-of"}),
-    "member-of": ({"role"}, set()),
-    "restrictions": (set(), {"restriction"}),
+# The bundle format, element by element: tag -> (required attributes,
+# optional attributes, allowed child elements).  The children of <migration>
+# are its sections, each allowed once.
+_SCHEMA: dict[str, tuple[set[str], set[str], set[str]]] = {
+    "migration": ({"format-version"}, set(), {"schema", "roles", "users", "restrictions", "sod"}),
+    "schema": (set(), set(), {"table"}),
+    "table": ({"name"}, set(), {"column"}),
+    "column": ({"name", "type", "nullable"}, set(), set()),
+    "roles": (set(), set(), {"role"}),
+    "role": ({"name"}, set(), {"inherits", "permission"}),
+    "inherits": ({"role"}, set(), set()),
+    "permission": ({"action", "resource"}, set(), set()),
+    "users": (set(), set(), {"user"}),
+    "user": ({"name"}, set(), {"member-of"}),
+    "member-of": ({"role"}, set(), set()),
+    "restrictions": (set(), set(), {"restriction"}),
     "restriction": (
-        {"id", "scope", "target", "max-transactions", "window-seconds", "max-users"},
+        {"id", "scope", "max-transactions", "window-seconds"},
+        {"target", "max-users"},
         set(),
     ),
-    "sod": (set(), {"exclusive"}),
-    "exclusive": ({"role-a", "role-b"}, set()),
+    "sod": (set(), set(), {"exclusive"}),
+    "exclusive": ({"role-a", "role-b"}, set(), set()),
 }
 
-_REQUIRED_ATTRS = {
-    "migration": {"format-version"},
-    "table": {"name"},
-    "column": {"name", "type", "nullable"},
-    "role": {"name"},
-    "inherits": {"role"},
-    "permission": {"action", "resource"},
-    "user": {"name"},
-    "member-of": {"role"},
-    "restriction": {"id", "scope", "max-transactions", "window-seconds"},
-    "exclusive": {"role-a", "role-b"},
-}
+# Elements that structural locators name by an attribute: role[@name='x'].
+_LOCATOR_KEY = {"table": "name", "role": "name", "user": "name", "restriction": "id"}
+
+_ACTIONS = frozenset(a.value for a in Action)
 
 
-def _check_element(elem: ET.Element, locator: str, report: ValidationReport) -> bool:
-    known = elem.tag in _EXPECTED
-    if not known:
-        report.error(locator, f"unknown element <{elem.tag}>")
-        return False
-    allowed_attrs, allowed_children = _EXPECTED[elem.tag]
+def _check_element(elem: ET.Element, locator: str, report: ValidationReport) -> set[str]:
+    """Report what ``elem`` breaks of the schema; returns its allowed children."""
+    required, optional, children = _SCHEMA[elem.tag]
     for attr in sorted(elem.attrib):
-        if attr not in allowed_attrs:
+        if attr not in required and attr not in optional:
             report.error(locator, f"unknown attribute {attr!r} on <{elem.tag}>")
-    for attr in sorted(_REQUIRED_ATTRS.get(elem.tag, ())):
+    for attr in sorted(required):
         if attr not in elem.attrib:
             report.error(locator, f"missing attribute {attr!r} on <{elem.tag}>")
     if elem.text and elem.text.strip():
         report.error(locator, f"unexpected text content in <{elem.tag}>")
-    ok = True
     for child in elem:
-        if child.tag not in allowed_children:
+        if child.tag not in children:
             report.error(locator, f"unexpected element <{child.tag}> inside <{elem.tag}>")
-            ok = False
-    return ok
+    return children
 
 
-def _parse_tree(root: ET.Element, report: ValidationReport) -> MigrationBundle:
-    bundle = MigrationBundle(format_version=root.get("format-version", ""))
+def _walk(elem: ET.Element, locator: str, report: ValidationReport) -> None:
+    """Check ``elem``, then depth first every child the schema allows there."""
+    allowed = _check_element(elem, locator, report)
+    for child in elem:
+        if child.tag in allowed:
+            key = _LOCATOR_KEY.get(child.tag)
+            suffix = f"[@{key}={child.get(key, '?')!r}]" if key else ""
+            _walk(child, f"{locator}/{child.tag}{suffix}", report)
+
+
+def _check_bundle(root: ET.Element, report: ValidationReport) -> dict[str, ET.Element]:
+    """Every check of a parsed bundle; returns the first element of each section.
+
+    A wrong root is reported alone: nothing below it is checked.
+    """
     if root.tag != "migration":
         report.error("/", f"root element must be <migration>, got <{root.tag}>")
-        return bundle
-    _check_element(root, "/migration", report)
-
-    seen_sections: set[str] = set()
+        return {}
+    known = _check_element(root, "/migration", report)
+    sections: dict[str, ET.Element] = {}
     for section in root:
         loc = f"/migration/{section.tag}"
-        if section.tag in seen_sections:
+        if section.tag in sections:
             report.error(loc, f"duplicate section <{section.tag}>")
             continue
-        seen_sections.add(section.tag)
-        if section.tag == "schema":
-            _check_element(section, loc, report)
-            for table in section.findall("table"):
-                tloc = f"{loc}/table[@name={table.get('name', '?')!r}]"
-                _check_element(table, tloc, report)
-                bt = BundleTable(name=table.get("name", ""))
-                for col in table.findall("column"):
-                    _check_element(col, f"{tloc}/column", report)
-                    bt.columns.append(
-                        BundleColumn(
-                            name=col.get("name", ""),
-                            type=col.get("type", ""),
-                            nullable=col.get("nullable", ""),
-                        )
-                    )
-                bundle.tables.append(bt)
-        elif section.tag == "roles":
-            _check_element(section, loc, report)
-            for role in section.findall("role"):
-                rloc = f"{loc}/role[@name={role.get('name', '?')!r}]"
-                _check_element(role, rloc, report)
-                br = BundleRole(name=role.get("name", ""))
-                for child in role:
-                    if child.tag == "inherits":
-                        _check_element(child, f"{rloc}/inherits", report)
-                        br.inherits.append(child.get("role", ""))
-                    elif child.tag == "permission":
-                        _check_element(child, f"{rloc}/permission", report)
-                        br.permissions.append(
-                            (child.get("action", ""), child.get("resource", ""))
-                        )
-                bundle.roles.append(br)
-        elif section.tag == "users":
-            _check_element(section, loc, report)
-            for user in section.findall("user"):
-                uloc = f"{loc}/user[@name={user.get('name', '?')!r}]"
-                _check_element(user, uloc, report)
-                bu = BundleUser(name=user.get("name", ""))
-                for member in user.findall("member-of"):
-                    _check_element(member, f"{uloc}/member-of", report)
-                    bu.member_of.append(member.get("role", ""))
-                bundle.users.append(bu)
-        elif section.tag == "restrictions":
-            _check_element(section, loc, report)
-            for r in section.findall("restriction"):
-                rloc = f"{loc}/restriction[@id={r.get('id', '?')!r}]"
-                _check_element(r, rloc, report)
-                bundle.restrictions.append(BundleRestriction(attrs=dict(r.attrib)))
-        elif section.tag == "sod":
-            _check_element(section, loc, report)
-            for pair in section.findall("exclusive"):
-                _check_element(pair, f"{loc}/exclusive", report)
-                bundle.sod.append((pair.get("role-a", ""), pair.get("role-b", "")))
+        sections[section.tag] = section
+        if section.tag in known:
+            _walk(section, loc, report)
         else:
             report.error(loc, f"unknown element <{section.tag}>")
-    return bundle
+    _check_semantics(root, sections, report)
+    return sections
 
 
-def _validate_semantics(bundle: MigrationBundle, report: ValidationReport) -> None:
-    if bundle.format_version != FORMAT_VERSION:
+def _items(sections: dict[str, ET.Element], section: str, tag: str) -> list[ET.Element]:
+    elem = sections.get(section)
+    return [] if elem is None else elem.findall(tag)
+
+
+def _positive_int(raw: str) -> bool:
+    """ASCII digits only, as for ``Content-Length``, with a value of 1 or more."""
+    return raw.isascii() and raw.isdigit() and int(raw) >= 1
+
+
+def _check_key(
+    report: ValidationReport, loc: str, kind: str, label: str, value: str, seen: set[str]
+) -> None:
+    """A name or id must be a token and unique among its kind."""
+    if not is_token(value):
+        report.error(loc, f"invalid {kind} {label} {value!r}")
+    elif value in seen:
+        report.error(loc, f"duplicate {kind} {value!r}")
+    seen.add(value)
+
+
+def _check_semantics(
+    root: ET.Element, sections: dict[str, ET.Element], report: ValidationReport
+) -> None:
+    version = root.get("format-version", "")
+    if version != FORMAT_VERSION:
         report.error(
             "/migration",
-            f"unsupported format-version {bundle.format_version!r} "
-            f"(expected {FORMAT_VERSION!r})",
+            f"unsupported format-version {version!r} (expected {FORMAT_VERSION!r})",
         )
 
-    token_ok = is_token
-
     table_names: set[str] = set()
-    for table in bundle.tables:
-        loc = f"/migration/schema/table[@name={table.name!r}]"
-        if not token_ok(table.name):
-            report.error(loc, f"invalid table name {table.name!r}")
-        elif table.name in table_names:
-            report.error(loc, f"duplicate table {table.name!r}")
-        table_names.add(table.name)
+    for table in _items(sections, "schema", "table"):
+        name = table.get("name", "")
+        loc = f"/migration/schema/table[@name={name!r}]"
+        _check_key(report, loc, "table", "name", name, table_names)
         col_names: set[str] = set()
-        for col in table.columns:
-            cloc = f"{loc}/column[@name={col.name!r}]"
-            if not token_ok(col.name):
-                report.error(cloc, f"invalid column name {col.name!r}")
-            elif col.name in col_names:
-                report.error(cloc, f"duplicate column {col.name!r}")
-            col_names.add(col.name)
-            if col.type not in ColumnDef.TYPES:
-                report.error(cloc, f"unknown column type {col.type!r}")
-            if col.nullable not in ("true", "false"):
-                report.error(cloc, f"nullable must be 'true' or 'false', got {col.nullable!r}")
+        for col in table.findall("column"):
+            col_name = col.get("name", "")
+            cloc = f"{loc}/column[@name={col_name!r}]"
+            _check_key(report, cloc, "column", "name", col_name, col_names)
+            col_type = col.get("type", "")
+            if col_type not in ColumnDef.TYPES:
+                report.error(cloc, f"unknown column type {col_type!r}")
+            nullable = col.get("nullable", "")
+            if nullable not in ("true", "false"):
+                report.error(cloc, f"nullable must be 'true' or 'false', got {nullable!r}")
 
+    roles = _items(sections, "roles", "role")
     role_names: set[str] = set()
-    for role in bundle.roles:
-        loc = f"/migration/roles/role[@name={role.name!r}]"
-        if not token_ok(role.name):
-            report.error(loc, f"invalid role name {role.name!r}")
-        elif role.name in role_names:
-            report.error(loc, f"duplicate role {role.name!r}")
-        role_names.add(role.name)
+    for role in roles:
+        name = role.get("name", "")
+        loc = f"/migration/roles/role[@name={name!r}]"
+        _check_key(report, loc, "role", "name", name, role_names)
 
-    for role in bundle.roles:
-        loc = f"/migration/roles/role[@name={role.name!r}]"
+    parents_of: dict[str, list[str]] = {}
+    for role in roles:
+        name = role.get("name", "")
+        loc = f"/migration/roles/role[@name={name!r}]"
+        parents = parents_of[name] = [p.get("role", "") for p in role.findall("inherits")]
         seen_parents: set[str] = set()
-        for parent in role.inherits:
+        for parent in parents:
             ploc = f"{loc}/inherits[@role={parent!r}]"
             if parent not in role_names:
                 report.error(ploc, f"unknown role {parent!r}")
             if parent in seen_parents:
                 report.error(ploc, f"duplicate inherits {parent!r}")
             seen_parents.add(parent)
+        perms = role.findall("permission")
         seen_perms: set[tuple[str, str]] = set()
-        for action, resource in role.permissions:
+        for perm in perms:
+            action, resource = perm.get("action", ""), perm.get("resource", "")
             perm_loc = f"{loc}/permission[@action={action!r}]"
-            if action not in [a.value for a in Action]:
+            if action not in _ACTIONS:
                 report.error(perm_loc, f"unknown action {action!r}")
             if not is_resource(resource):
                 report.error(perm_loc, f"invalid resource {resource!r}")
             if (action, resource) in seen_perms:
                 report.error(perm_loc, f"duplicate permission ({action}, {resource})")
             seen_perms.add((action, resource))
-        if not role.inherits and not role.permissions:
-            report.warning(loc, f"role {role.name!r} grants nothing and inherits nothing")
+        if not parents and not perms:
+            report.warning(loc, f"role {name!r} grants nothing and inherits nothing")
 
-    # Hierarchy cycle check over the declared inherits edges.
     graph = {
-        r.name: Role(r.name, frozenset(p for p in r.inherits if p in role_names))
-        for r in bundle.roles
+        name: Role(name, frozenset(p for p in parents if p in role_names))
+        for name, parents in parents_of.items()
     }
     try:
         topological_order(graph)
@@ -459,57 +391,55 @@ def _validate_semantics(bundle: MigrationBundle, report: ValidationReport) -> No
         report.error(f"/migration/roles/role[@name={exc.path[0]!r}]", f"hierarchy cycle: {exc}")
 
     user_names: set[str] = set()
-    memberships: dict[str, list[str]] = {}
-    for user in bundle.users:
-        loc = f"/migration/users/user[@name={user.name!r}]"
-        if not token_ok(user.name):
-            report.error(loc, f"invalid user name {user.name!r}")
-        elif user.name in user_names:
-            report.error(loc, f"duplicate user {user.name!r}")
-        user_names.add(user.name)
+    memberships: dict[str, list[str]] = {}  # a repeated user name: the last wins
+    for user in _items(sections, "users", "user"):
+        name = user.get("name", "")
+        loc = f"/migration/users/user[@name={name!r}]"
+        _check_key(report, loc, "user", "name", name, user_names)
+        held = memberships[name] = [m.get("role", "") for m in user.findall("member-of")]
         seen: set[str] = set()
-        for role in user.member_of:
+        for role in held:
             mloc = f"{loc}/member-of[@role={role!r}]"
             if role not in role_names:
                 report.error(mloc, f"unknown role {role!r}")
             if role in seen:
                 report.error(mloc, f"duplicate membership {role!r}")
             seen.add(role)
-        memberships[user.name] = user.member_of
-        if not user.member_of:
-            report.warning(loc, f"user {user.name!r} has no memberships")
+        if not held:
+            report.warning(loc, f"user {name!r} has no memberships")
 
     restriction_ids: set[str] = set()
-    for r in bundle.restrictions:
-        rid = r.attrs.get("id", "")
+    for r in _items(sections, "restrictions", "restriction"):
+        rid = r.get("id", "")
         loc = f"/migration/restrictions/restriction[@id={rid!r}]"
-        if not token_ok(rid):
-            report.error(loc, f"invalid restriction id {rid!r}")
-        elif rid in restriction_ids:
-            report.error(loc, f"duplicate restriction {rid!r}")
-        restriction_ids.add(rid)
-        scope = r.attrs.get("scope", "")
+        _check_key(report, loc, "restriction", "id", rid, restriction_ids)
+        scope = r.get("scope", "")
         if scope not in (SCOPE_PER_USER, SCOPE_PER_ROLE):
             report.error(loc, f"unknown scope {scope!r}")
         for attr in ("max-transactions", "window-seconds"):
-            raw = r.attrs.get(attr, "")
-            if not raw.isdigit() or int(raw) < 1:
+            raw = r.get(attr, "")
+            if not _positive_int(raw):
                 report.error(loc, f"{attr} must be a positive integer, got {raw!r}")
-        max_users = r.attrs.get("max-users")
+        max_users = r.get("max-users")
         if max_users is not None:
             if scope == SCOPE_PER_USER:
                 report.error(loc, "max-users is not allowed on per-user policies")
-            if not max_users.isdigit() or int(max_users) < 1:
+            if not _positive_int(max_users):
                 report.error(loc, f"max-users must be a positive integer, got {max_users!r}")
-        target = r.attrs.get("target")
+        target = r.get("target")
         if target is not None:
             if scope == SCOPE_PER_USER and target not in user_names:
                 report.error(loc, f"target user {target!r} not declared")
             elif scope == SCOPE_PER_ROLE and target not in role_names:
                 report.error(loc, f"target role {target!r} not declared")
 
+    holders: dict[str, set[str]] = defaultdict(set)
+    for user, held in memberships.items():
+        for role in held:
+            holders[role].add(user)
     seen_pairs: set[tuple[str, str]] = set()
-    for a, b in bundle.sod:
+    for pair_elem in _items(sections, "sod", "exclusive"):
+        a, b = pair_elem.get("role-a", ""), pair_elem.get("role-b", "")
         loc = f"/migration/sod/exclusive[@role-a={a!r}]"
         if a == b:
             report.error(loc, f"exclusive pair names the same role twice: {a!r}")
@@ -524,30 +454,22 @@ def _validate_semantics(bundle: MigrationBundle, report: ValidationReport) -> No
             report.error(loc, f"duplicate exclusive pair ({pair[0]!r}, {pair[1]!r})")
         seen_pairs.add(pair)
         if not missing:
-            for user, held in sorted(memberships.items()):
-                if a in held and b in held:
-                    report.error(
-                        f"/migration/users/user[@name={user!r}]",
-                        f"user {user!r} is member of both exclusive roles {a!r} and {b!r}",
-                    )
+            for user in sorted(holders[a] & holders[b]):
+                report.error(
+                    f"/migration/users/user[@name={user!r}]",
+                    f"user {user!r} is member of both exclusive roles {a!r} and {b!r}",
+                )
 
 
-def parse_bundle(xml: bytes) -> tuple[MigrationBundle, ValidationReport]:
-    """Parse bundle bytes; syntax findings land in the report, never raised."""
+def validate_bundle(xml: bytes) -> ValidationReport:
+    """Full validation; every finding goes in the report, nothing raises."""
     report = ValidationReport()
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:
         report.error("/", f"malformed XML: {exc}")
-        return MigrationBundle(format_version=""), report
-    return _parse_tree(root, report), report
-
-
-def validate_bundle(xml: bytes) -> ValidationReport:
-    """Full validation; every finding goes in the report, nothing raises."""
-    bundle, report = parse_bundle(xml)
-    if not any(i.severity == SEVERITY_ERROR and i.locator == "/" for i in report.issues):
-        _validate_semantics(bundle, report)
+        return report
+    _check_bundle(root, report)
     return report
 
 
@@ -555,9 +477,10 @@ def import_bundle(xml: bytes, now: int = 0) -> DirectoryState:
     """Build a full directory state from a validated bundle.
 
     Memberships become fresh assignments stamped with ``now``.  Raises
-    MalformedXml / UnsupportedVersion / ValidationFailed; on any of them the
-    caller's current state is untouched (nothing is applied until the whole
-    bundle has been materialized).
+    MalformedXml / UnsupportedVersion / ValidationFailed, the last carrying
+    exactly the report ``validate_bundle`` gives; on any of them the caller's
+    current state is untouched (nothing is applied until the whole bundle has
+    been materialized).
     """
     try:
         root = ET.fromstring(xml)
@@ -567,63 +490,58 @@ def import_bundle(xml: bytes, now: int = 0) -> DirectoryState:
         version = root.get("format-version")
         if version != FORMAT_VERSION:
             raise UnsupportedVersion(f"format-version {version!r}")
-
     report = ValidationReport()
-    bundle = _parse_tree(root, report)
-    _validate_semantics(bundle, report)
+    sections = _check_bundle(root, report)
     if not report.ok:
         raise ValidationFailed(report)
 
-    roles: dict[str, Role] = {}
-    for br in bundle.roles:
-        roles[br.name] = Role(
-            name=br.name,
-            parents=frozenset(br.inherits),
+    roles = {
+        role.get("name"): Role(
+            name=role.get("name"),
+            parents=frozenset(p.get("role") for p in role.findall("inherits")),
             permissions=frozenset(
-                Permission(resource, Action(action)) for action, resource in br.permissions
+                Permission(p.get("resource"), Action(p.get("action")))
+                for p in role.findall("permission")
             ),
         )
-
-    assignments: dict[tuple[str, str], int] = {}
-    for bu in bundle.users:
-        for role in bu.member_of:
-            assignments[(bu.name, role)] = int(now)
-
-    restrictions: dict[str, RestrictionPolicy] = {}
-    for br_ in bundle.restrictions:
-        attrs = br_.attrs
-        max_users = attrs.get("max-users")
-        policy = RestrictionPolicy(
-            id=attrs["id"],
-            scope=attrs["scope"],
-            max_transactions=int(attrs["max-transactions"]),
-            window_seconds=int(attrs["window-seconds"]),
-            target=attrs.get("target"),
+        for role in _items(sections, "roles", "role")
+    }
+    users = _items(sections, "users", "user")
+    assignments = {
+        (user.get("name"), m.get("role")): int(now)
+        for user in users
+        for m in user.findall("member-of")
+    }
+    restrictions = {}
+    for r in _items(sections, "restrictions", "restriction"):
+        max_users = r.get("max-users")
+        restrictions[r.get("id")] = RestrictionPolicy(
+            id=r.get("id"),
+            scope=r.get("scope"),
+            max_transactions=int(r.get("max-transactions")),
+            window_seconds=int(r.get("window-seconds")),
+            target=r.get("target"),
             max_users=int(max_users) if max_users is not None else None,
         )
-        restrictions[policy.id] = policy
-
-    tables = tuple(
-        sorted(
-            (
-                TableSchema(
-                    name=bt.name,
-                    columns=tuple(
-                        ColumnDef(name=c.name, type=c.type, nullable=c.nullable == "true")
-                        for c in bt.columns
-                    ),
-                )
-                for bt in bundle.tables
-            ),
-            key=lambda t: t.name,
-        )
+    tables = sorted(
+        (
+            TableSchema(
+                name=table.get("name"),
+                columns=tuple(
+                    ColumnDef(c.get("name"), c.get("type"), nullable=c.get("nullable") == "true")
+                    for c in table.findall("column")
+                ),
+            )
+            for table in _items(sections, "schema", "table")
+        ),
+        key=lambda t: t.name,
     )
-
+    pairs = _items(sections, "sod", "exclusive")
     return DirectoryState(
-        users=frozenset(u.name for u in bundle.users),
+        users=frozenset(user.get("name") for user in users),
         roles=roles,
         assignments=assignments,
-        sod=frozenset(sod_pair(a, b) for a, b in bundle.sod),
+        sod=frozenset(sod_pair(e.get("role-a"), e.get("role-b")) for e in pairs),
         restrictions=restrictions,
-        tables=tables,
+        tables=tuple(tables),
     )

@@ -403,12 +403,13 @@ def _import(engine: Engine, req: _Handler):
 
 
 def _audit(engine: Engine, req: _Handler):
+    limit = req.qi("limit")
     records = engine.query_audit(
         subject=req.query.get("subject"),
         effect=req.query.get("effect"),
         since=req.qi("since"),
         until=req.qi("until"),
-        limit=req.qi("limit") or 1000,
+        limit=1000 if limit is None else limit,
     )
     return 200, _listing("record", records)
 

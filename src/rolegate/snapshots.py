@@ -35,6 +35,8 @@ from .restriction import AnomalyEvent, AuditRecord, TransactionCounter, iso8601,
 
 MAGIC = b"RBAK"
 FILE_VERSION = 1
+_HEADER = len(MAGIC) + 1  # magic and version byte
+_DIGEST_SIZE = hashlib.sha256().digest_size
 _SNAP_RE = re.compile(r"^snap-(\d+)\.rbak$")
 
 
@@ -90,10 +92,51 @@ def _wrap_os_error(exc: OSError) -> RbacError:
     return IoFailure(str(exc))
 
 
+# How each runtime record is stored in JSON: (JSON key, dataclass field,
+# conversion applied on decode or None), in the dataclass's field order,
+# because decode passes the values positionally.
+_COUNTER_FIELDS = (
+    ("policy", "policy_id", None),
+    ("principal", "principal", None),
+    ("window-start", "window_start", int),
+    ("count", "count", int),
+)
+_AUDIT_FIELDS = (
+    ("at", "at", int),
+    ("request-id", "request_id", None),
+    ("subject", "subject", None),
+    ("resource", "resource", None),
+    ("action", "action", None),
+    ("effect", "effect", None),
+    ("reason", "reason", None),
+    ("matched-role", "matched_role", None),
+)
+_ANOMALY_FIELDS = (
+    ("at", "at", int),
+    ("policy", "policy", None),
+    ("principal", "principal", None),
+    ("observed", "observed", int),
+    ("limit", "limit", int),
+    ("request-id", "request_id", None),
+)
+
+
+def _to_json(record, fields) -> dict:
+    return {key: getattr(record, name) for key, name, _ in fields}
+
+
+def _from_json(cls, fields, raw: dict):
+    return cls(*[conv(raw[key]) if conv else raw[key] for key, _, conv in fields])
+
+
+def _dumps(value) -> bytes:
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def encode_cut(cut: EngineCut) -> bytes:
     """Serialize a cut to snapshot bytes (deterministic for equal cuts)."""
     xml = export_bundle(cut.state)
-    runtime = json.dumps(
+    runtime = _dumps(
         {
             "captured-at": cut.captured_at,
             "reason": cut.reason,
@@ -101,53 +144,13 @@ def encode_cut(cut: EngineCut) -> bytes:
                 [u, r, t] for (u, r), t in cut.state.assignments.items()
             ),
             "counters": sorted(
-                (
-                    {
-                        "policy": c.policy_id,
-                        "principal": c.principal,
-                        "window-start": c.window_start,
-                        "count": c.count,
-                    }
-                    for c in cut.counters
-                ),
+                (_to_json(c, _COUNTER_FIELDS) for c in cut.counters),
                 key=lambda c: (c["policy"], c["principal"]),
             ),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    audit = json.dumps(
-        [
-            {
-                "at": r.at,
-                "request-id": r.request_id,
-                "subject": r.subject,
-                "resource": r.resource,
-                "action": r.action,
-                "effect": r.effect,
-                "reason": r.reason,
-                "matched-role": r.matched_role,
-            }
-            for r in cut.audit
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
-    anomalies = json.dumps(
-        [
-            {
-                "at": e.at,
-                "policy": e.policy,
-                "principal": e.principal,
-                "observed": e.observed,
-                "limit": e.limit,
-                "request-id": e.request_id,
-            }
-            for e in cut.anomalies
-        ],
-        sort_keys=True,
-        separators=(",", ":"),
-    ).encode("utf-8")
+        }
+    )
+    audit = _dumps([_to_json(r, _AUDIT_FIELDS) for r in cut.audit])
+    anomalies = _dumps([_to_json(e, _ANOMALY_FIELDS) for e in cut.anomalies])
 
     payload = b"".join(
         len(section).to_bytes(8, "big") + section
@@ -159,24 +162,14 @@ def encode_cut(cut: EngineCut) -> bytes:
 
 def payload_span(blob: bytes) -> tuple[int, int]:
     """Byte range [start, end) of the checksummed payload within a snapshot."""
-    return len(MAGIC) + 1, len(blob) - hashlib.sha256().digest_size
+    return _HEADER, len(blob) - _DIGEST_SIZE
 
 
-def decode_cut(blob: bytes) -> EngineCut:
-    """Parse and integrity-check snapshot bytes back into a cut."""
-    digest_size = hashlib.sha256().digest_size
-    header = len(MAGIC) + 1
-    if len(blob) < header + 32 or blob[: len(MAGIC)] != MAGIC:
-        raise ChecksumMismatch("not a snapshot file or truncated header")
-    if blob[len(MAGIC)] != FILE_VERSION:
-        raise ChecksumMismatch(f"unsupported snapshot file version {blob[len(MAGIC)]}")
-    payload, stored = blob[header:-digest_size], blob[-digest_size:]
-    if hashlib.sha256(payload).digest() != stored:
-        raise ChecksumMismatch("payload digest does not match stored digest")
-
+def _split_sections(payload: bytes, count: int) -> tuple[list[bytes], int]:
+    """The first ``count`` length-prefixed sections and the offset after them."""
     sections: list[bytes] = []
     offset = 0
-    for _ in range(4):
+    for _ in range(count):
         if offset + 8 > len(payload):
             raise ChecksumMismatch("truncated section table")
         length = int.from_bytes(payload[offset : offset + 8], "big")
@@ -185,7 +178,20 @@ def decode_cut(blob: bytes) -> EngineCut:
             raise ChecksumMismatch("section extends past payload")
         sections.append(payload[offset : offset + length])
         offset += length
-    if offset != len(payload):
+    return sections, offset
+
+
+def decode_cut(blob: bytes) -> EngineCut:
+    """Parse and integrity-check snapshot bytes back into a cut."""
+    if len(blob) < _HEADER + _DIGEST_SIZE or blob[: len(MAGIC)] != MAGIC:
+        raise ChecksumMismatch("not a snapshot file or truncated header")
+    if blob[len(MAGIC)] != FILE_VERSION:
+        raise ChecksumMismatch(f"unsupported snapshot file version {blob[len(MAGIC)]}")
+    payload, stored = blob[_HEADER:-_DIGEST_SIZE], blob[-_DIGEST_SIZE:]
+    if hashlib.sha256(payload).digest() != stored:
+        raise ChecksumMismatch("payload digest does not match stored digest")
+    sections, end = _split_sections(payload, 4)
+    if end != len(payload):
         raise ChecksumMismatch("trailing bytes after sections")
 
     xml, runtime_raw, audit_raw, anomalies_raw = sections
@@ -194,55 +200,27 @@ def decode_cut(blob: bytes) -> EngineCut:
     times = {(u, r): int(t) for u, r, t in runtime.get("assignment-times", [])}
     if set(times) != set(state.assignments):
         raise ChecksumMismatch("assignment times do not cover bundle memberships")
-    state = DirectoryState(
-        users=state.users,
-        roles=state.roles,
-        assignments=times,
-        sod=state.sod,
-        restrictions=state.restrictions,
-        tables=state.tables,
-    )
-    counters = tuple(
-        TransactionCounter(
-            policy_id=c["policy"],
-            principal=c["principal"],
-            window_start=int(c["window-start"]),
-            count=int(c["count"]),
-        )
-        for c in runtime.get("counters", [])
-    )
-    audit = tuple(
-        AuditRecord(
-            at=int(r["at"]),
-            request_id=r["request-id"],
-            subject=r["subject"],
-            resource=r["resource"],
-            action=r["action"],
-            effect=r["effect"],
-            reason=r["reason"],
-            matched_role=r["matched-role"],
-        )
-        for r in json.loads(audit_raw)
-    )
-    anomalies = tuple(
-        AnomalyEvent(
-            at=int(e["at"]),
-            policy=e["policy"],
-            principal=e["principal"],
-            observed=int(e["observed"]),
-            limit=int(e["limit"]),
-            request_id=e["request-id"],
-        )
-        for e in json.loads(anomalies_raw)
-    )
     return EngineCut(
-        state=state,
-        counters=counters,
-        audit=audit,
-        anomalies=anomalies,
+        state=replace(state, assignments=times),
+        counters=tuple(
+            _from_json(TransactionCounter, _COUNTER_FIELDS, c)
+            for c in runtime.get("counters", [])
+        ),
+        audit=tuple(_from_json(AuditRecord, _AUDIT_FIELDS, r) for r in json.loads(audit_raw)),
+        anomalies=tuple(
+            _from_json(AnomalyEvent, _ANOMALY_FIELDS, e) for e in json.loads(anomalies_raw)
+        ),
         captured_at=int(runtime.get("captured-at", 0)),
         reason=runtime.get("reason", ""),
     )
+
+
+def _entry(
+    snapshot_id: int, created_at: int, blob: bytes, verified: Optional[bool] = None
+) -> SnapshotEntry:
+    """Catalog metadata for snapshot bytes; the checksum is the digest they store."""
+    checksum = blob[-_DIGEST_SIZE:].hex() if len(blob) >= _HEADER + _DIGEST_SIZE else ""
+    return SnapshotEntry(snapshot_id, created_at, checksum, len(blob), verified)
 
 
 def write_state_file(path: Path, cut: EngineCut) -> SnapshotEntry:
@@ -268,10 +246,7 @@ def write_state_file(path: Path, cut: EngineCut) -> SnapshotEntry:
         except OSError:
             pass
         raise _wrap_os_error(exc) from exc
-    checksum = blob[-hashlib.sha256().digest_size :].hex()  # the digest encode_cut stored
-    return SnapshotEntry(
-        id=0, created_at=cut.captured_at, checksum=checksum, size_bytes=len(blob)
-    )
+    return _entry(0, cut.captured_at, blob)
 
 
 def read_state_file(path: Path) -> EngineCut:
@@ -349,8 +324,7 @@ class SnapshotStore:
         except OSError as exc:
             raise _wrap_os_error(exc) from exc
         cut = decode_cut(blob)
-        checksum = blob[-hashlib.sha256().digest_size :].hex()
-        return cut, SnapshotEntry(snapshot_id, cut.captured_at, checksum, len(blob))
+        return cut, _entry(snapshot_id, cut.captured_at, blob)
 
     def list_entries(self, verify: bool = False) -> list[SnapshotEntry]:
         """Catalog entries in id order; checksums re-verified only on request."""
@@ -361,7 +335,6 @@ class SnapshotStore:
                 blob = path.read_bytes()
             except OSError as exc:
                 raise _wrap_os_error(exc) from exc
-            created_at, checksum = _peek_meta(blob)
             verified: Optional[bool] = None
             if verify:
                 try:
@@ -369,31 +342,14 @@ class SnapshotStore:
                     verified = True
                 except RbacError:
                     verified = False
-            entries.append(
-                SnapshotEntry(
-                    id=snapshot_id,
-                    created_at=created_at,
-                    checksum=checksum,
-                    size_bytes=len(blob),
-                    verified=verified,
-                )
-            )
+            entries.append(_entry(snapshot_id, _peek_created_at(blob), blob, verified))
         return entries
 
 
-def _peek_meta(blob: bytes) -> tuple[int, str]:
-    """Best-effort (created_at, stored checksum hex) without digest verification."""
-    digest_size = hashlib.sha256().digest_size
-    header = len(MAGIC) + 1
-    if len(blob) < header + digest_size:
-        return 0, ""
-    checksum = blob[-digest_size:].hex()
-    payload = blob[header:-digest_size]
+def _peek_created_at(blob: bytes) -> int:
+    """Best-effort capture time, read without digest verification (0 if unreadable)."""
     try:
-        xml_len = int.from_bytes(payload[0:8], "big")
-        runtime_start = 8 + xml_len + 8
-        runtime_len = int.from_bytes(payload[8 + xml_len : runtime_start], "big")
-        runtime = json.loads(payload[runtime_start : runtime_start + runtime_len])
-        return int(runtime.get("captured-at", 0)), checksum
-    except (ValueError, KeyError, IndexError):
-        return 0, checksum
+        runtime = _split_sections(blob[_HEADER:-_DIGEST_SIZE], 2)[0][1]
+        return int(json.loads(runtime).get("captured-at", 0))
+    except (ChecksumMismatch, ValueError):
+        return 0

@@ -1,15 +1,18 @@
 """Bundle export canonical form, validation findings, import semantics."""
 
+import copy
 import random
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rolegate import directory as d
 from rolegate.directory import Action, Permission
 from rolegate.migration import (
+    Issue,
     MalformedXml,
     UnsupportedVersion,
     ValidationFailed,
@@ -218,6 +221,26 @@ class TestValidate:
         assert "max-transactions" in messages
         assert "max-users is not allowed" in messages
 
+    @pytest.mark.parametrize("value", ["\u00b2", "\u0661"])  # superscript two, Arabic-Indic one
+    @pytest.mark.parametrize("attr", ["max-transactions", "window-seconds", "max-users"])
+    def test_numeric_attributes_are_ascii_digits(self, attr, value):
+        attrs = {"id": "x", "scope": "per-role", "max-transactions": "5", "window-seconds": "60"}
+        attrs[attr] = value
+        rendered = "".join(f' {k}="{v}"' for k, v in sorted(attrs.items()))
+        xml = (
+            f'<migration format-version="1.0"><restrictions><restriction{rendered}/>'
+            f"</restrictions></migration>"
+        ).encode()
+        report = validate_bundle(xml)
+        assert Issue(
+            "error",
+            "/migration/restrictions/restriction[@id='x']",
+            f"{attr} must be a positive integer, got {value!r}",
+        ) in report.issues
+        with pytest.raises(ValidationFailed) as exc:
+            import_bundle(xml)
+        assert exc.value.report.issues == report.issues
+
     def test_unordered_sod_pair_rejected(self):
         xml = (
             b'<migration format-version="1.0">'
@@ -326,3 +349,92 @@ def test_round_trip_randomized(seed):
     rebuilt = import_bundle(xml, now=0)
     assert same_directory(state, rebuilt)
     assert export_bundle(rebuilt) == xml  # export . import . export is a fixpoint
+
+
+# -- validation and import agree on hostile bundles ---------------------------
+
+_TAGS = [
+    "migration", "schema", "table", "column", "roles", "role", "inherits", "permission",
+    "users", "user", "member-of", "restrictions", "restriction", "sod", "exclusive", "foo",
+]
+_ATTRS = [
+    "format-version", "name", "type", "nullable", "role", "action", "resource", "id",
+    "scope", "target", "max-transactions", "window-seconds", "max-users", "role-a",
+    "role-b", "color",
+]
+_HOSTILE = ["", "-1", "\u00b2", "\u0661", "a b"]
+_VALUES = _HOSTILE + ["1", "60", "1.0", "x", "rolea", "roleb", "user0", "per-user",
+                      "per-role", "read", "docs", "integer", "true"]
+
+
+def _edit(rng: random.Random, root: ET.Element) -> None:
+    """Apply one random structural or value edit to the tree, in place."""
+    elems = list(root.iter())
+    parent = {child: p for p in elems for child in p}
+    elem = rng.choice(elems)
+    kind = rng.choice(
+        ["drop-attr", "add-attr", "rename-attr", "drop", "add", "rename",
+         "duplicate", "move", "text", "cycle", "hostile"]
+    )
+    if kind == "drop-attr" and elem.attrib:
+        del elem.attrib[rng.choice(sorted(elem.attrib))]
+    elif kind == "add-attr":
+        elem.set(rng.choice(_ATTRS), rng.choice(_VALUES))
+    elif kind == "rename-attr" and elem.attrib:
+        value = elem.attrib.pop(rng.choice(sorted(elem.attrib)))
+        elem.set(rng.choice(_ATTRS), value)
+    elif kind == "drop" and elem in parent:
+        parent[elem].remove(elem)
+    elif kind == "add":
+        elem.append(ET.Element(rng.choice(_TAGS), {rng.choice(_ATTRS): rng.choice(_VALUES)}))
+    elif kind == "rename":
+        elem.tag = rng.choice(_TAGS)
+    elif kind == "duplicate" and elem in parent:
+        siblings = parent[elem]
+        siblings.insert(list(siblings).index(elem) + 1, copy.deepcopy(elem))
+    elif kind == "move" and elem in parent:
+        inside = set(elem.iter())
+        dest = rng.choice([e for e in elems if e not in inside])
+        parent[elem].remove(elem)
+        dest.insert(rng.randint(0, len(dest)), elem)
+    elif kind == "text":
+        elem.text = rng.choice(["x", " ", "\n  "])
+    elif kind == "cycle":
+        roles = root.findall("roles/role")
+        if roles:
+            a, b = rng.choice(roles), rng.choice(roles)
+            a.append(ET.Element("inherits", role=b.get("name", "")))
+            b.append(ET.Element("inherits", role=a.get("name", "")))
+    elif kind == "hostile" and elem.attrib:
+        elem.set(rng.choice(sorted(elem.attrib)), rng.choice(_HOSTILE))
+
+
+def mutated_bundle(rng: random.Random) -> bytes:
+    """A random directory's export after 1-4 random tree edits."""
+    state = random_directory(rng, with_sod=True, with_extras=True)
+    root = ET.fromstring(export_bundle(state))
+    for _ in range(rng.randint(1, 4)):
+        _edit(rng, root)
+    return ET.tostring(root, encoding="utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(xml=st.randoms(use_true_random=False).map(mutated_bundle))
+@example(xml=b"<foo/>")
+@example(xml=b'<foo format-version="1.0"><roles/></foo>')
+@example(
+    xml=b'<migration format-version="1.0"><restrictions>'
+    b'<restriction id="x" max-transactions="\xc2\xb2" scope="per-user" window-seconds="60"/>'
+    b"</restrictions></migration>"
+)
+def test_validate_and_import_agree(xml):
+    report = validate_bundle(xml)  # never raises
+    try:
+        import_bundle(xml)
+    except ValidationFailed as exc:
+        assert exc.report.issues == report.issues
+        assert not report.ok
+    except (MalformedXml, UnsupportedVersion):
+        assert not report.ok
+    else:
+        assert report.ok

@@ -374,6 +374,13 @@ class TestMonitoringEndpoints:
         status, _ = call(service, "GET", "/v1/audit?since=10&until=5")
         assert status == 400
 
+    @pytest.mark.parametrize("limit", ["0", "-1", "10001"])
+    def test_audit_limit_out_of_range_400(self, service, limit):
+        call(service, "POST", "/v1/decision", "subject=ghost\nresource=docs\naction=read\n")
+        status, body = call(service, "GET", f"/v1/audit?limit={limit}")
+        assert status == 400
+        assert b"limit must be in 1..10000" in body
+
     def test_anomalies_drain_semantics(self, service):
         _, first = call(service, "GET", "/v1/anomalies")
         assert parse_kv(first.decode())["count"] == ["0"]
