@@ -16,7 +16,7 @@ import threading
 from pathlib import Path
 from typing import Optional
 
-from .config import ConfigError, ServiceConfig, load_config, parse_listen
+from .config import ConfigError, ServiceConfig, load_config
 from .decision import AccessRequest
 from .directory import Action, Permission, RbacError, RestrictionPolicy
 from .engine import Engine
@@ -33,12 +33,12 @@ def _load(args) -> ServiceConfig:
     overrides = {
         "data_dir": Path(args.data_dir) if args.data_dir else None,
         "plain_rbac": True if args.plain_rbac else None,
+        # serve's flags; the other subcommands do not define them
+        "listen": getattr(args, "listen", None),
+        "api_token": getattr(args, "api_token", None),
+        "snapshot_interval_seconds": getattr(args, "snapshot_interval", None),
     }
     return load_config(Path(args.config) if args.config else None, **overrides)
-
-
-def _engine(args) -> Engine:
-    return build_engine(_load(args))
 
 
 def _print_report(report: ValidationReport, stream) -> None:
@@ -64,12 +64,6 @@ def cmd_serve(args) -> int:
         level=logging.INFO, format="%(asctime)s %(levelname)s %(name)s %(message)s"
     )
     config = _load(args)
-    if args.listen:
-        config.host, config.port = parse_listen(args.listen)
-    if args.api_token is not None:
-        config.api_token = args.api_token
-    if args.snapshot_interval is not None:
-        config.snapshot_interval_seconds = args.snapshot_interval
     service = Service(config)
     service.start()
     stop = threading.Event()
@@ -87,8 +81,7 @@ def cmd_serve(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args, explain: bool = False) -> int:
-    engine = _engine(args)
+def cmd_check(engine: Engine, args, explain: bool = False) -> int:
     request = AccessRequest(
         subject=args.user,
         resource=args.resource,
@@ -111,50 +104,43 @@ def cmd_check(args, explain: bool = False) -> int:
     return EXIT_DOMAIN
 
 
-def cmd_user_add(args) -> int:
-    engine = _engine(args)
+def cmd_user_add(engine: Engine, args) -> int:
     engine.create_user(args.name)
     print(f"created user {args.name}")
     return EXIT_OK
 
 
-def cmd_role_add(args) -> int:
-    engine = _engine(args)
+def cmd_role_add(engine: Engine, args) -> int:
     engine.create_role(args.name, args.inherits or [])
     print(f"created role {args.name}")
     return EXIT_OK
 
 
-def cmd_grant(args) -> int:
-    engine = _engine(args)
+def cmd_grant(engine: Engine, args) -> int:
     engine.grant_permission(args.role, Permission(args.resource, Action(args.action)))
     print(f"granted ({args.resource}, {args.action}) to {args.role}")
     return EXIT_OK
 
 
-def cmd_assign(args) -> int:
-    engine = _engine(args)
+def cmd_assign(engine: Engine, args) -> int:
     assignment = engine.assign_role(args.user, args.role)
     print(f"assigned {args.user} to {args.role} at {assignment.assigned_at}")
     return EXIT_OK
 
 
-def cmd_revoke(args) -> int:
-    engine = _engine(args)
+def cmd_revoke(engine: Engine, args) -> int:
     engine.revoke_role(args.user, args.role)
     print(f"revoked {args.role} from {args.user}")
     return EXIT_OK
 
 
-def cmd_sod_add(args) -> int:
-    engine = _engine(args)
+def cmd_sod_add(engine: Engine, args) -> int:
     engine.add_sod_constraint(args.role_a, args.role_b)
     print(f"added exclusive pair ({args.role_a}, {args.role_b})")
     return EXIT_OK
 
 
-def cmd_restrict_add(args) -> int:
-    engine = _engine(args)
+def cmd_restrict_add(engine: Engine, args) -> int:
     policy = RestrictionPolicy(
         id=args.id,
         scope=args.scope,
@@ -168,8 +154,7 @@ def cmd_restrict_add(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    engine = _engine(args)
+def cmd_export(engine: Engine, args) -> int:
     xml = engine.export_xml()
     if args.file:
         Path(args.file).write_bytes(xml)
@@ -179,42 +164,36 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def cmd_import(args) -> int:
-    engine = _engine(args)
+def cmd_import(engine: Engine, args) -> int:
     engine.import_xml(Path(args.file).read_bytes())
     print(f"imported {args.file}")
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    engine = _engine(args)
+def cmd_validate(engine: Engine, args) -> int:
     report = engine.validate_xml(Path(args.file).read_bytes())
     _print_report(report, sys.stdout)
     return EXIT_OK if report.ok else EXIT_DOMAIN
 
 
-def cmd_snapshot_create(args) -> int:
-    engine = _engine(args)
+def cmd_snapshot_create(engine: Engine, args) -> int:
     meta = engine.create_snapshot(reason=args.reason or "manual")
     print(f"snapshot {meta.id} created at {iso8601(meta.created_at)} checksum {meta.checksum}")
     return EXIT_OK
 
 
-def cmd_snapshot_list(args) -> int:
-    engine = _engine(args)
+def cmd_snapshot_list(engine: Engine, args) -> int:
     verify = bool(args.verify or getattr(args, "verify_global", False))
     for entry in engine.list_snapshots(verify=verify):
         print(entry.line())
     return EXIT_OK
 
 
-def cmd_snapshot_restore(args) -> int:
-    engine = _engine(args)
+def cmd_snapshot_restore(engine: Engine, args) -> int:
     if args.id == "latest":
-        latest = engine.snapshot_store.latest_id() if engine.snapshot_store else None
-        if latest is None:
+        snapshot_id = engine.snapshot_store.latest_id()
+        if snapshot_id is None:
             raise RbacError("no snapshots in catalog")
-        snapshot_id = latest
     else:
         snapshot_id = int(args.id)
     meta = engine.restore_snapshot(snapshot_id)
@@ -222,8 +201,7 @@ def cmd_snapshot_restore(args) -> int:
     return EXIT_OK
 
 
-def cmd_audit(args) -> int:
-    engine = _engine(args)
+def cmd_audit(engine: Engine, args) -> int:
     records = engine.query_audit(
         subject=args.subject,
         effect=args.effect,
@@ -236,8 +214,7 @@ def cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def cmd_anomalies(args) -> int:
-    engine = _engine(args)
+def cmd_anomalies(engine: Engine, args) -> int:
     events = engine.drain_anomalies()
     engine.flush()  # the drain is consumed state; persist it
     for event in events:
@@ -245,23 +222,15 @@ def cmd_anomalies(args) -> int:
     return EXIT_OK
 
 
-def cmd_metrics(args) -> int:
-    engine = _engine(args)
+def cmd_metrics(engine: Engine, args) -> int:
     for key, value in metrics_pairs(engine.metrics()):
         print(f"{key}={value}")
     return EXIT_OK
 
 
-def cmd_capabilities(args) -> int:
-    engine = _engine(args)
+def cmd_capabilities(engine: Engine, args) -> int:
     caps = engine.capabilities()
-    rows = [
-        ("xml-based-migration", caps.xml_based_migration),
-        ("restricting-user-role", caps.restricting_user_role),
-        ("backup-restoration", caps.backup_restoration),
-        ("transaction-limit", caps.transaction_limit),
-    ]
-    for name, enabled in rows:
+    for name, enabled in caps.rows():
         print(f"{name:<24}{'yes' if enabled else 'no'}")
     print(f"{'security-level':<24}{caps.security_level}")
     return EXIT_OK
@@ -297,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--resource", required=True)
         p.add_argument("--action", required=True, choices=[a.value for a in Action])
         p.add_argument("--context", action="append", metavar="KEY=VALUE")
-        p.set_defaults(func=lambda a, e=is_explain: cmd_check(a, explain=e))
+        p.set_defaults(func=lambda eng, a, e=is_explain: cmd_check(eng, a, explain=e))
 
     p = sub.add_parser("user", help="user administration")
     usub = p.add_subparsers(dest="subcommand", required=True)
@@ -394,7 +363,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        if args.func is cmd_serve:
+            return cmd_serve(args)
+        return args.func(build_engine(_load(args)), args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

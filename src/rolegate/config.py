@@ -70,12 +70,37 @@ def _parse_obligation(raw: dict, index: int) -> ObligationPolicy:
         raise ConfigError(f"bad obligation at index {index}: {exc}") from exc
 
 
+def _obligations(raw: list) -> list[ObligationPolicy]:
+    return [_parse_obligation(o, i) for i, o in enumerate(raw)]
+
+
+# JSON key -> (ServiceConfig field, JSON type the value must have, conversion).
+# "listen" ("host:port") is split into host and port after overrides apply.
+_KEYS = {
+    "listen": ("listen", str, str),
+    "data-dir": ("data_dir", str, Path),
+    "snapshot-dir": ("snapshot_dir", str, Path),
+    "snapshot-interval-seconds": ("snapshot_interval_seconds", int, int),
+    "snapshot-keep-last": ("snapshot_keep_last", int, int),
+    "anomaly-log": ("anomaly_log", str, Path),
+    "api-token": ("api_token", str, str),
+    "plain-rbac": ("plain_rbac", bool, bool),
+    "obligations": ("obligations", list, _obligations),
+}
+_JSON_TYPES = {
+    str: "string", int: "integer", bool: "boolean", list: "array",
+    dict: "object", float: "number", type(None): "null",
+}
+
+
 def load_config(path: Optional[Path] = None, **overrides) -> ServiceConfig:
     """Build a ServiceConfig from an optional JSON file plus keyword overrides.
 
-    Recognized keys mirror the dataclass fields with hyphens:
-    listen ("host:port"), data-dir, snapshot-dir, snapshot-interval-seconds,
-    snapshot-keep-last, anomaly-log, api-token, plain-rbac, obligations.
+    The file's keys are those of ``_KEYS``, and each value must have the JSON
+    type listed there (``true`` is not an integer, ``"false"`` is not a
+    boolean).  Overrides are ServiceConfig field names or ``listen``; a None
+    override is ignored.  The result passes ServiceConfig's checks, whatever
+    the source of each value.
     """
     values: dict = {}
     if path is not None:
@@ -83,47 +108,24 @@ def load_config(path: Optional[Path] = None, **overrides) -> ServiceConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        known = {
-            "listen",
-            "data-dir",
-            "snapshot-dir",
-            "snapshot-interval-seconds",
-            "snapshot-keep-last",
-            "anomaly-log",
-            "api-token",
-            "plain-rbac",
-            "obligations",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        if "listen" in raw:
-            values["host"], values["port"] = parse_listen(raw["listen"])
-        if "data-dir" in raw:
-            values["data_dir"] = Path(raw["data-dir"])
-        if "snapshot-dir" in raw:
-            values["snapshot_dir"] = Path(raw["snapshot-dir"])
-        if "snapshot-interval-seconds" in raw:
-            values["snapshot_interval_seconds"] = int(raw["snapshot-interval-seconds"])
-        if "snapshot-keep-last" in raw:
-            values["snapshot_keep_last"] = int(raw["snapshot-keep-last"])
-        if "anomaly-log" in raw:
-            values["anomaly_log"] = Path(raw["anomaly-log"])
-        if "api-token" in raw:
-            values["api_token"] = raw["api-token"]
-        if "plain-rbac" in raw:
-            values["plain_rbac"] = bool(raw["plain-rbac"])
-        if "obligations" in raw:
-            if not isinstance(raw["obligations"], list):
-                raise ConfigError("obligations must be a list")
-            values["obligations"] = [
-                _parse_obligation(o, i) for i, o in enumerate(raw["obligations"])
-            ]
+        for key, value in raw.items():
+            name, json_type, convert = _KEYS[key]
+            if type(value) is not json_type:
+                raise ConfigError(
+                    f"config key {key!r} must be a JSON {_JSON_TYPES[json_type]},"
+                    f" got {_JSON_TYPES[type(value)]}"
+                )
+            values[name] = convert(value)
     values.update({k: v for k, v in overrides.items() if v is not None})
+    if "listen" in values:
+        values["host"], values["port"] = parse_listen(values.pop("listen"))
     try:
         return ServiceConfig(**values)
     except TypeError as exc:
@@ -132,6 +134,6 @@ def load_config(path: Optional[Path] = None, **overrides) -> ServiceConfig:
 
 def parse_listen(value: str) -> tuple[str, int]:
     host, sep, port = str(value).rpartition(":")
-    if not sep or not port.isdigit():
+    if not sep or not (port.isascii() and port.isdigit()):
         raise ConfigError(f"listen must be host:port, got {value!r}")
     return host or "127.0.0.1", int(port)

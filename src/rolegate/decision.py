@@ -144,30 +144,8 @@ def evaluate_obligations(
     return blocking, attached
 
 
-@dataclass
-class Evaluation:
-    """Outcome of the pure part of a check, before any quota is consumed."""
-
-    effect: Effect
-    reason: Reason
-    matched_role: Optional[str]
-    granting_roles: tuple[str, ...]
-    subject_roles: frozenset[str]
-    blocking: list[ObligationPolicy]
-    attached: list[ObligationPolicy]
-
-    def decision(self) -> Decision:
-        if self.effect is Effect.PERMIT:
-            obligations = tuple(
-                ObligationRef(p.id, p.modality, p.action_token) for p in self.attached
-            )
-            return Decision(Effect.PERMIT, Reason.GRANTED, obligations, self.matched_role)
-        if self.reason is Reason.OBLIGATION_BLOCKED:
-            obligations = tuple(
-                ObligationRef(p.id, p.modality, p.action_token) for p in self.blocking
-            )
-            return Decision(Effect.DENY, self.reason, obligations, None)
-        return Decision(Effect.DENY, self.reason)
+def _refs(policies: list[ObligationPolicy]) -> tuple[ObligationRef, ...]:
+    return tuple(ObligationRef(p.id, p.modality, p.action_token) for p in policies)
 
 
 def evaluate(
@@ -175,21 +153,21 @@ def evaluate(
     request: AccessRequest,
     policies: Sequence[ObligationPolicy] = (),
     trace: Optional[list[TraceStep]] = None,
-) -> Evaluation:
+) -> Decision:
     """Run the quota-free part of the two-phase check.
 
-    With a ``trace`` list, steps are appended to it for the subject lookup,
-    every examined role and every applicable obligation; without one, no step
-    is built.  The engine finishes the trace with the quota consultation and
-    the final decision step, since only the engine knows whether a quota is
-    in play.
+    A permit carries the lexicographically first granting role and the
+    attached must obligations; an obligation-blocked deny carries the blocking
+    must-nots.  With a ``trace`` list, steps are appended to it for the
+    subject lookup, every examined role and every applicable obligation;
+    without one, no step is built.  The engine finishes the trace with the
+    quota consultation and the final decision step, since only the engine
+    knows whether a quota is in play.
     """
     if request.subject not in state.users:
         if trace is not None:
             trace.append(TraceStep("subject", request.subject, "unknown"))
-        return Evaluation(
-            Effect.DENY, Reason.UNKNOWN_SUBJECT, None, (), frozenset(), [], []
-        )
+        return Decision(Effect.DENY, Reason.UNKNOWN_SUBJECT)
     if trace is not None:
         trace.append(TraceStep("subject", request.subject, "found"))
 
@@ -197,41 +175,22 @@ def evaluate(
     # match on raw fields: the request is untrusted, and a resource no
     # permission could ever name must deny, not raise
     wanted = (request.resource, request.action)
-    granting: list[str] = []
+    matched: Optional[str] = None
     for role in sorted(subject_roles):
         grants = wanted in state.permission_keys(role)
-        if grants:
-            granting.append(role)
+        if grants and matched is None:
+            matched = role  # lexicographic minimum: sorted iteration
         if trace is not None:
             trace.append(TraceStep("role", role, "grants" if grants else "no-grant"))
 
-    if not granting:
-        return Evaluation(
-            Effect.DENY, Reason.NO_MATCHING_PERMISSION, None, (), subject_roles, [], []
-        )
+    if matched is None:
+        return Decision(Effect.DENY, Reason.NO_MATCHING_PERMISSION)
 
-    matched = granting[0]  # lexicographic minimum: sorted iteration above
     blocking, attached = evaluate_obligations(policies, subject_roles, request.context)
     if trace is not None:
         trace.extend(TraceStep("obligation", p.id, "blocks") for p in blocking)
         trace.extend(TraceStep("obligation", p.id, "attaches") for p in attached)
 
     if blocking:
-        return Evaluation(
-            Effect.DENY,
-            Reason.OBLIGATION_BLOCKED,
-            None,
-            tuple(granting),
-            subject_roles,
-            blocking,
-            attached,
-        )
-    return Evaluation(
-        Effect.PERMIT,
-        Reason.GRANTED,
-        matched,
-        tuple(granting),
-        subject_roles,
-        blocking,
-        attached,
-    )
+        return Decision(Effect.DENY, Reason.OBLIGATION_BLOCKED, _refs(blocking))
+    return Decision(Effect.PERMIT, Reason.GRANTED, _refs(attached), matched)

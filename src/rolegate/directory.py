@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Optional
 
-_TOKEN_RE = re.compile(r"^[A-Za-z0-9_.-]{1,64}$")
-_RESOURCE_RE = re.compile(r"^[^\s\x00-\x1f\x7f]{1,256}$")
+_TOKEN_RE = re.compile(r"[A-Za-z0-9_.-]{1,64}")
+_RESOURCE_RE = re.compile(r"[^\s\x00-\x1f\x7f]{1,256}")
 
 
 class RbacError(Exception):
@@ -96,11 +96,11 @@ class InvalidRestriction(RbacError):
 
 
 def is_token(value: str) -> bool:
-    return isinstance(value, str) and bool(_TOKEN_RE.match(value))
+    return isinstance(value, str) and bool(_TOKEN_RE.fullmatch(value))
 
 
 def is_resource(value: str) -> bool:
-    return isinstance(value, str) and bool(_RESOURCE_RE.match(value))
+    return isinstance(value, str) and bool(_RESOURCE_RE.fullmatch(value))
 
 
 def ensure_token(name: str, what: str = "name") -> str:

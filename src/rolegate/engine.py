@@ -1,10 +1,14 @@
 """Engine facade: single-writer directory, concurrent decisions, quiesce.
 
 Decision checks share the read side of a writer-preferring RW lock and never
-block each other.  Administrative mutations, bundle import and snapshot
-restore take the write side: in-flight decisions finish, new ones queue, then
-the immutable state reference (and, for import/restore, the monitor state)
-swaps atomically.  No decision can ever observe a half-applied change.
+block each other.  Every state change commits through ``_commit``: under the
+write side it applies one transition to the immutable state (an
+administrative mutation from ``directory``, a bundle import or a snapshot
+restore, the last two also reloading the monitor), swaps the state reference
+and writes the live state file.  In-flight decisions finish first and new
+ones queue, so no decision can ever observe a half-applied change.  ``flush``
+also takes the write side, so the write lock orders every write of the live
+state file.
 
 With ``plain_rbac=True`` the engine reproduces a bare two-phase RBAC system:
 migration, snapshots, restriction enforcement and obligation policies are all
@@ -68,6 +72,15 @@ class CapabilitiesReport:
     backup_restoration: bool
     transaction_limit: bool
     security_level: str
+
+    def rows(self) -> list[tuple[str, bool]]:
+        """(feature name, enabled) in report order; the CLI and HTTP render these."""
+        return [
+            ("xml-based-migration", self.xml_based_migration),
+            ("restricting-user-role", self.restricting_user_role),
+            ("backup-restoration", self.backup_restoration),
+            ("transaction-limit", self.transaction_limit),
+        ]
 
 
 class RWLock:
@@ -145,9 +158,7 @@ class Engine:
         live_path = Path(live_path)
         engine = cls(live_path=live_path, **kwargs)
         if live_path.is_file():
-            cut = read_state_file(live_path)
-            engine._state = cut.state
-            engine._monitor.load(list(cut.counters), list(cut.audit), list(cut.anomalies))
+            engine._install(read_state_file(live_path))
         return engine
 
     # -- introspection -------------------------------------------------------
@@ -185,49 +196,49 @@ class Engine:
     # -- administrative mutations ---------------------------------------------
 
     def create_user(self, name: str) -> str:
-        with self._rw.write():
-            self._state = d.create_user(self._state, name)
-            self._flush_locked()
+        self._commit(d.create_user, name)
         return name
 
     def create_role(self, name: str, parents: Sequence[str] = ()) -> str:
-        with self._rw.write():
-            self._state = d.create_role(self._state, name, parents)
-            self._flush_locked()
+        self._commit(d.create_role, name, parents)
         return name
 
     def grant_permission(self, role: str, perm: Permission) -> None:
-        with self._rw.write():
-            self._state = d.grant_permission(self._state, role, perm)
-            self._flush_locked()
+        self._commit(d.grant_permission, role, perm)
 
     def assign_role(self, user: str, role: str) -> Assignment:
-        with self._rw.write():
-            if not self.plain_rbac and role in self._state.roles:
-                saturated = check_user_cap(self._state, role)
-                if saturated is not None:
-                    raise d.RoleCapacityExceeded(
-                        f"role {role!r} is at capacity under policy {saturated!r}"
-                    )
-            now = self.now()
-            self._state = d.assign_role(self._state, user, role, now)
-            self._flush_locked()
-            return Assignment(user, role, now)
+        state = self._commit(self._assign_capped, user, role)
+        return Assignment(user, role, state.assignments[(user, role)])
+
+    def _assign_capped(self, state: DirectoryState, user: str, role: str) -> DirectoryState:
+        """``d.assign_role`` at the current time, behind the role's member cap."""
+        if not self.plain_rbac and role in state.roles:
+            saturated = check_user_cap(state, role)
+            if saturated is not None:
+                raise d.RoleCapacityExceeded(
+                    f"role {role!r} is at capacity under policy {saturated!r}"
+                )
+        return d.assign_role(state, user, role, self.now())
 
     def revoke_role(self, user: str, role: str) -> None:
-        with self._rw.write():
-            self._state = d.revoke_role(self._state, user, role)
-            self._flush_locked()
+        self._commit(d.revoke_role, user, role)
 
     def add_sod_constraint(self, role_a: str, role_b: str) -> None:
-        with self._rw.write():
-            self._state = d.add_sod_constraint(self._state, role_a, role_b)
-            self._flush_locked()
+        self._commit(d.add_sod_constraint, role_a, role_b)
 
     def add_restriction(self, policy: RestrictionPolicy) -> None:
+        self._commit(d.add_restriction, policy)
+
+    def _commit(self, transition: Callable[..., DirectoryState], *args) -> DirectoryState:
+        """The one write path: apply ``transition`` and persist, under the write lock.
+
+        Returns the committed state.  A transition that raises leaves the
+        state and the live file untouched.
+        """
         with self._rw.write():
-            self._state = d.add_restriction(self._state, policy)
+            self._state = transition(self._state, *args)
             self._flush_locked()
+            return self._state
 
     def set_obligations(
         self, policies: Sequence[ObligationPolicy], require_known_roles: bool = True
@@ -270,15 +281,14 @@ class Engine:
             now = self.now()
             state = self._state
             policies = () if self.plain_rbac else self._obligations
-            ev = evaluate(state, request, policies, trace)
-            decision = ev.decision()
+            decision = evaluate(state, request, policies, trace)
             if (
                 decision.effect is Effect.PERMIT
                 and not self.plain_rbac
                 and state.restrictions
             ):
                 result = self._monitor.consume(
-                    state, request.subject, ev.matched_role, now, request.request_id,
+                    state, request.subject, decision.matched_role, now, request.request_id,
                     dry_run=trace is not None,
                 )
                 if trace is not None:
@@ -330,12 +340,13 @@ class Engine:
         anomalies are operational history of this engine and survive.
         """
         self._require_policy_mode("xml-based migration")
-        with self._rw.write():
-            new_state = import_bundle(xml, now=self.now())
-            _, audit, anomalies = self._monitor.cut()
-            self._state = new_state
-            self._monitor.load([], audit, anomalies)
-            self._flush_locked()
+        self._commit(self._imported, xml)
+
+    def _imported(self, state: DirectoryState, xml: bytes) -> DirectoryState:
+        new_state = import_bundle(xml, now=self.now())
+        _, audit, anomalies = self._monitor.cut()
+        self._monitor.load([], audit, anomalies)
+        return new_state
 
     def validate_xml(self, xml: bytes) -> ValidationReport:
         return validate_bundle(xml)
@@ -361,32 +372,30 @@ class Engine:
 
     def create_snapshot(self, reason: str = "") -> SnapshotEntry:
         self._require_policy_mode("backup and restoration")
-        store = self._require_store()
-        with self._rw.read():
-            cut = self._cut_locked(reason)
-        return store.save(cut)
+        return self._require_store().save(self.cut(reason))
 
     def restore_snapshot(self, snapshot_id: int) -> SnapshotEntry:
         """Swap in a snapshot's cut; refuses (state untouched) on bad checksum."""
         self._require_policy_mode("backup and restoration")
         store = self._require_store()
         cut, meta = store.load_with_meta(snapshot_id)  # verified before any mutation
-        with self._rw.write():
-            self._state = cut.state
-            self._monitor.load(list(cut.counters), list(cut.audit), list(cut.anomalies))
-            self._monitor.record_audit(
-                AuditRecord(
-                    at=self.now(),
-                    request_id=new_request_id(),
-                    subject="system",
-                    resource=f"snapshot:{snapshot_id}",
-                    action="restore",
-                    effect="permit",
-                    reason="restore-performed",
-                )
-            )
-            self._flush_locked()
+        self._commit(self._restored, cut, snapshot_id)
         return meta
+
+    def _restored(self, state: DirectoryState, cut: EngineCut, snapshot_id: int) -> DirectoryState:
+        self._install(cut)
+        self._monitor.record_audit(
+            AuditRecord(
+                at=self.now(),
+                request_id=new_request_id(),
+                subject="system",
+                resource=f"snapshot:{snapshot_id}",
+                action="restore",
+                effect="permit",
+                reason="restore-performed",
+            )
+        )
+        return cut.state
 
     def list_snapshots(self, verify: bool = False) -> list[SnapshotEntry]:
         self._require_policy_mode("backup and restoration")
@@ -396,10 +405,16 @@ class Engine:
 
     def flush(self) -> None:
         """Write the live state file, if one is configured."""
-        with self._rw.read():
+        with self._rw.write():
             self._flush_locked()
 
+    def _install(self, cut: EngineCut) -> None:
+        """Make ``cut`` the directory and monitor state (write lock held, or unshared)."""
+        self._state = cut.state
+        self._monitor.load(list(cut.counters), list(cut.audit), list(cut.anomalies))
+
     def _flush_locked(self) -> None:
+        """Write the live state file; only ever called with the write lock held."""
         if self.live_path is not None:
             write_state_file(self.live_path, self._cut_locked("live"))
 

@@ -461,12 +461,20 @@ def _check_semantics(
                 )
 
 
+def _parse(xml: bytes) -> ET.Element:
+    """The root element; MalformedXml also for an unknown or unsupported encoding."""
+    try:
+        return ET.fromstring(xml)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        raise MalformedXml(str(exc)) from exc
+
+
 def validate_bundle(xml: bytes) -> ValidationReport:
     """Full validation; every finding goes in the report, nothing raises."""
     report = ValidationReport()
     try:
-        root = ET.fromstring(xml)
-    except ET.ParseError as exc:
+        root = _parse(xml)
+    except MalformedXml as exc:
         report.error("/", f"malformed XML: {exc}")
         return report
     _check_bundle(root, report)
@@ -482,10 +490,7 @@ def import_bundle(xml: bytes, now: int = 0) -> DirectoryState:
     current state is untouched (nothing is applied until the whole bundle has
     been materialized).
     """
-    try:
-        root = ET.fromstring(xml)
-    except ET.ParseError as exc:
-        raise MalformedXml(str(exc)) from exc
+    root = _parse(xml)
     if root.tag == "migration":
         version = root.get("format-version")
         if version != FORMAT_VERSION:

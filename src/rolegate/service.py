@@ -167,22 +167,20 @@ class _Server(ThreadingMixIn, HTTPServer):
 
 
 def build_engine(config: ServiceConfig, clock: Callable[[], float] = time.time) -> Engine:
-    """Construct an engine over a data directory per the service config."""
+    """Construct an engine over a data directory per the service config.
+
+    Plain RBAC mode is the engine's to enforce: it never consults the
+    obligations or the anomaly log there and refuses snapshots.
+    """
     config.data_dir.mkdir(parents=True, exist_ok=True)
-    monitor = RestrictionMonitor(
-        anomaly_log_path=None if config.plain_rbac else str(config.anomaly_log)
-    )
-    store = None
-    if not config.plain_rbac:
-        store = SnapshotStore(config.snapshot_dir, keep_last=config.snapshot_keep_last)
     engine = Engine.open(
         config.live_path,
-        monitor=monitor,
+        monitor=RestrictionMonitor(anomaly_log_path=str(config.anomaly_log)),
         clock=clock,
         plain_rbac=config.plain_rbac,
-        snapshot_store=store,
+        snapshot_store=SnapshotStore(config.snapshot_dir, keep_last=config.snapshot_keep_last),
     )
-    if config.obligations and not config.plain_rbac:
+    if config.obligations:
         try:
             engine.set_obligations(config.obligations)
         except RbacError as exc:
@@ -376,12 +374,8 @@ def _health(engine: Engine, req: _Handler):
 
 def _capabilities(engine: Engine, req: _Handler):
     caps = engine.capabilities()
-    return 200, [
-        ("xml-based-migration", _b(caps.xml_based_migration)),
-        ("restricting-user-role", _b(caps.restricting_user_role)),
-        ("backup-restoration", _b(caps.backup_restoration)),
-        ("transaction-limit", _b(caps.transaction_limit)),
-        ("security-level", caps.security_level),
+    return 200, [(name, _b(on)) for name, on in caps.rows()] + [
+        ("security-level", caps.security_level)
     ]
 
 

@@ -11,10 +11,12 @@ Lengths are big-endian u64.  The digest covers the payload bytes exactly
 (everything between the version byte and the digest), so any single flipped
 payload bit is detected.
 
-Writes go to a temp file in the same directory which is fsynced and renamed
-into place; a crash at any point leaves either the old file or the new one,
-never a partial.  The catalog is the directory listing itself: one
-``snap-<id>.rbak`` file per snapshot, ids strictly increasing.
+Writes go to a temp file with a unique name (``tempfile.mkstemp``, mode
+0600) in the same directory, which is fsynced and renamed into place; a crash
+at any point leaves either the old file or the new one, never a partial, and
+two writers never write into one temp file.  The catalog is the directory
+listing itself: one ``snap-<id>.rbak`` file per snapshot, ids strictly
+increasing.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import hashlib
 import json
 import os
 import re
+import tempfile
 import threading
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -37,7 +41,7 @@ MAGIC = b"RBAK"
 FILE_VERSION = 1
 _HEADER = len(MAGIC) + 1  # magic and version byte
 _DIGEST_SIZE = hashlib.sha256().digest_size
-_SNAP_RE = re.compile(r"^snap-(\d+)\.rbak$")
+_SNAP_RE = re.compile(r"snap-([0-9]+)\.rbak")
 
 
 class UnknownSnapshot(RbacError):
@@ -227,10 +231,11 @@ def write_state_file(path: Path, cut: EngineCut) -> SnapshotEntry:
     """Atomically write a cut to ``path`` (temp file + fsync + rename)."""
     blob = encode_cut(cut)
     path = Path(path)
-    tmp = path.with_name("." + path.name + ".tmp")
+    tmp: Optional[str] = None  # unique per writer, so concurrent writers never share it
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "wb") as fh:
+        fd, tmp = tempfile.mkstemp(prefix="." + path.name + ".", suffix=".tmp", dir=path.parent)
+        with open(fd, "wb") as fh:
             fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
@@ -241,10 +246,9 @@ def write_state_file(path: Path, cut: EngineCut) -> SnapshotEntry:
         finally:
             os.close(dir_fd)
     except OSError as exc:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
         raise _wrap_os_error(exc) from exc
     return _entry(0, cut.captured_at, blob)
 
@@ -280,7 +284,7 @@ class SnapshotStore:
             return []
         found = []
         for name in os.listdir(self.directory):
-            m = _SNAP_RE.match(name)
+            m = _SNAP_RE.fullmatch(name)
             if m:
                 found.append(int(m.group(1)))
         return sorted(found)
@@ -292,11 +296,7 @@ class SnapshotStore:
     def save(self, cut: EngineCut) -> SnapshotEntry:
         """Durably write a new snapshot; prune old ones after success."""
         with self._lock:
-            try:
-                self.directory.mkdir(parents=True, exist_ok=True)
-            except OSError as exc:
-                raise _wrap_os_error(exc) from exc
-            existing = self.ids()
+            existing = self.ids()  # write_state_file creates the directory
             snapshot_id = (existing[-1] + 1) if existing else 1
             meta = replace(write_state_file(self.path_for(snapshot_id), cut), id=snapshot_id)
             if self.keep_last:

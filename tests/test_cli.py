@@ -221,6 +221,20 @@ class TestReporting:
         (line,) = out.splitlines()
         assert line.split("\t")[2:] == ["a\\tb", "x\\ny", "read", "deny", "unknown-subject", "-"]
 
+    def test_resource_with_trailing_newline_refused(self, capsys, data_dir):
+        seed(capsys, data_dir)
+        code, _, err = run(
+            capsys, "--data-dir", data_dir,
+            "grant", "--role", "employee", "--action", "write", "--resource", "docs\n",
+        )
+        assert code == 1 and "invalid resource" in err
+        # the next command reopens the live state file
+        code, out, _ = run(
+            capsys, "--data-dir", data_dir,
+            "check", "--user", "alice", "--resource", "docs", "--action", "read",
+        )
+        assert code == 0 and out.strip() == "PERMIT role=employee"
+
     def test_plain_mode_blocks_export(self, capsys, data_dir):
         seed(capsys, data_dir)
         code, _, err = run(capsys, "--data-dir", data_dir, "--plain-rbac", "export")

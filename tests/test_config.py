@@ -91,6 +91,73 @@ class TestLoadConfig:
             load_config(path)
 
 
+class TestValueTypes:
+    def write(self, tmp_path, **raw):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({k.replace("_", "-"): v for k, v in raw.items()}))
+        return path
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("plain_rbac", "false"),
+            ("plain_rbac", 0),
+            ("snapshot_keep_last", None),
+            ("snapshot_interval_seconds", 1.5),
+            ("snapshot_interval_seconds", True),
+            ("snapshot_interval_seconds", "30"),
+            ("listen", 8640),
+            ("data_dir", None),
+            ("api_token", 123),
+            ("obligations", {}),
+        ],
+    )
+    def test_wrong_json_type_is_config_error(self, tmp_path, key, value):
+        with pytest.raises(ConfigError, match="must be a JSON"):
+            load_config(self.write(tmp_path, **{key: value}))
+
+    def test_plain_rbac_false_keeps_policy_mode(self, tmp_path):
+        config = load_config(self.write(tmp_path, plain_rbac=False, data_dir=str(tmp_path)))
+        assert config.plain_rbac is False
+
+
+class TestServeFlags:
+    """serve's --listen, --api-token and --snapshot-interval pass ServiceConfig's checks."""
+
+    def load(self, tmp_path, *serve_args):
+        from rolegate.cli import _load, build_parser
+
+        args = build_parser().parse_args(["--data-dir", str(tmp_path), "serve", *serve_args])
+        return _load(args)
+
+    def test_flags_override_the_config(self, tmp_path):
+        config = self.load(
+            tmp_path, "--listen", "0.0.0.0:9001", "--api-token", "t", "--snapshot-interval", "5"
+        )
+        assert (config.host, config.port) == ("0.0.0.0", 9001)
+        assert config.api_token == "t"
+        assert config.snapshot_interval_seconds == 5
+
+    @pytest.mark.parametrize(
+        "flags", [("--snapshot-interval", "-1"), ("--listen", "127.0.0.1:0"), ("--listen", "")]
+    )
+    def test_invalid_flag_is_config_error(self, tmp_path, flags):
+        with pytest.raises(ConfigError):
+            self.load(tmp_path, *flags)
+
+    def test_negative_interval_exits_2(self, tmp_path):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "rolegate.cli", "--data-dir", str(tmp_path),
+             "serve", "--snapshot-interval", "-1"],
+            capture_output=True, text=True, timeout=20,
+        )
+        assert proc.returncode == 2
+        assert "snapshot-interval-seconds must be >= 0" in proc.stderr
+
+
 class TestParseListen:
     def test_host_and_port(self):
         assert parse_listen("0.0.0.0:80") == ("0.0.0.0", 80)
@@ -98,7 +165,7 @@ class TestParseListen:
     def test_port_only_defaults_host(self):
         assert parse_listen(":8080") == ("127.0.0.1", 8080)
 
-    @pytest.mark.parametrize("bad", ["nohost", "host:", "host:abc"])
+    @pytest.mark.parametrize("bad", ["nohost", "host:", "host:abc", "host:\u00b2"])
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
             parse_listen(bad)

@@ -1,5 +1,7 @@
 """Engine facade: wiring, evaluation order, plain mode, concurrency."""
 
+import os
+import sys
 import threading
 
 import pytest
@@ -11,9 +13,11 @@ from rolegate import (
     Engine,
     FeatureDisabled,
     Permission,
+    RbacError,
     Reason,
 )
 from rolegate import directory as d
+from rolegate.snapshots import read_state_file
 
 def req(subject, resource, action, rid="fixed"):
     return AccessRequest(subject, resource, Action(action), {}, rid)
@@ -255,6 +259,77 @@ class TestConcurrency:
         for t in threads:
             t.join()
         assert len(permits) == limit
+
+
+class TestNamesEndAtEndOfString:
+    def test_user_name_with_trailing_newline_refused(self, clock, tmp_path):
+        eng = Engine.open(tmp_path / "live.rbak", clock=clock)
+        eng.create_user("alice")
+        with pytest.raises(d.InvalidName):
+            eng.create_user("bob\n")
+        assert Engine.open(tmp_path / "live.rbak").state.users == {"alice"}
+
+
+class TestLiveFileWriters:
+    """Every write of live.rbak is ordered, and no two writers share a temp file."""
+
+    def _engine(self, clock, live_path):
+        eng = Engine.open(live_path, clock=clock)
+        if "alice" not in eng.state.users:
+            eng.create_user("alice")
+        return eng
+
+    def _flush_from_threads(self, engines, rounds=100):
+        failures = []
+        barrier = threading.Barrier(len(engines))
+
+        def flusher(eng):
+            barrier.wait()
+            for _ in range(rounds):
+                try:
+                    eng.flush()
+                except RbacError as exc:
+                    failures.append(exc)
+
+        threads = [threading.Thread(target=flusher, args=(eng,)) for eng in engines]
+        for t in threads:
+            t.start()
+        return threads, failures
+
+    def _join(self, threads):
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+
+    def test_concurrent_flushes_of_one_engine(self, clock, tmp_path):
+        eng = self._engine(clock, tmp_path / "live.rbak")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside the write path too
+        try:
+            threads, failures = self._flush_from_threads([eng, eng])
+            self._join(threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert sorted(os.listdir(tmp_path)) == ["live.rbak"]
+
+    def test_two_engines_on_one_path_and_a_reader(self, clock, tmp_path):
+        live = tmp_path / "live.rbak"
+        first = self._engine(clock, live)
+        second = self._engine(clock, live)
+        threads, failures = self._flush_from_threads([first, second])
+        reads, bad_reads = 0, []
+        while any(t.is_alive() for t in threads):
+            try:
+                assert "alice" in read_state_file(live).state.users
+                reads += 1
+            except Exception as exc:  # a torn or half-written file
+                bad_reads.append(exc)
+        self._join(threads)
+        assert failures == []
+        assert bad_reads == []
+        assert reads > 0
+        assert sorted(os.listdir(tmp_path)) == ["live.rbak"]
 
 
 class TestObligationInstall:

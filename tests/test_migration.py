@@ -325,6 +325,17 @@ class TestEngineImport:
             engine.import_xml(b'<migration format-version="1.0"><roles><role name="a"><inherits role="x"/></role></roles></migration>')
         assert engine.state is before
 
+    def test_name_with_encoded_newline_refused(self, tmp_path):
+        from rolegate import Engine
+
+        engine = Engine(live_path=tmp_path / "live.rbak")
+        engine.create_user("alice")
+        xml = b'<migration format-version="1.0"><roles><role name="a&#10;"/></roles></migration>'
+        assert not validate_bundle(xml).ok
+        with pytest.raises(ValidationFailed):
+            engine.import_xml(xml)
+        assert Engine.open(tmp_path / "live.rbak").state.users == {"alice"}
+
     def test_import_resets_counters_keeps_audit(self, engine, clock):
         from rolegate import AccessRequest
 
@@ -421,6 +432,8 @@ def mutated_bundle(rng: random.Random) -> bytes:
 @settings(max_examples=300, deadline=None)
 @given(xml=st.randoms(use_true_random=False).map(mutated_bundle))
 @example(xml=b"<foo/>")
+@example(xml=b'<?xml version="1.0" encoding="bogus"?><migration format-version="1.0"/>')
+@example(xml=b'<?xml version="1.0" encoding="utf-32"?><migration format-version="1.0"/>')
 @example(xml=b'<foo format-version="1.0"><roles/></foo>')
 @example(
     xml=b'<migration format-version="1.0"><restrictions>'

@@ -467,6 +467,16 @@ class TestMigrationEndpoints:
         assert fields["ok"] == ["false"]
         assert any("unknown role" in issue for issue in fields["issue"])
 
+    def test_unknown_encoding_is_malformed_xml(self, service):
+        bogus = b'<?xml version="1.0" encoding="bogus"?><migration format-version="1.0"/>'
+        status, body = call(service, "POST", "/v1/validate", bogus)
+        assert status == 200
+        fields = parse_kv(body.decode())
+        assert fields["ok"] == ["false"]
+        assert fields["issue"] == ["error\t/\tmalformed XML: unknown encoding: bogus"]
+        status, body = call(service, "POST", "/v1/import", bogus, TOKEN)
+        assert status == 422 and parse_kv(body.decode())["error"] == ["malformed-xml"]
+
     def test_import_invalid_is_422(self, service):
         status, body = call(service, "POST", "/v1/import", b"<junk/>", TOKEN)
         assert status == 422

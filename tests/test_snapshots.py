@@ -200,6 +200,7 @@ class TestCrashSafety:
         monkeypatch.undo()
         entries = store.list_entries(verify=True)
         assert [(e.id, e.verified) for e in entries] == [(good.id, True)]
+        assert os.listdir(tmp_path) == [f"snap-{good.id}.rbak"]  # the temp file is gone
 
     def test_interrupted_rename_never_lists_partial(self, tmp_path, monkeypatch):
         # the temp file may survive a crash; the catalog must never show it
