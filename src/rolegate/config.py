@@ -57,8 +57,27 @@ class ServiceConfig:
         return self.data_dir / "live.rbak"
 
 
+# Obligation JSON key -> (JSON type, JSON type of each member or None).
+_OBLIGATION_KEYS = {
+    "id": (str, None),
+    "modality": (str, None),
+    "action": (str, None),
+    "applies-to": (list, str),  # role names
+    "condition": (dict, str),  # context key -> required value
+}
+
+
 def _parse_obligation(raw: dict, index: int) -> ObligationPolicy:
     try:
+        _check_type(raw, dict, "an obligation")
+        for key, (json_type, member_type) in _OBLIGATION_KEYS.items():
+            if key not in raw:
+                continue
+            value = raw[key]
+            _check_type(value, json_type, repr(key))
+            if member_type is not None:
+                for member in value.values() if json_type is dict else value:
+                    _check_type(member, member_type, f"each member of {key!r}")
         return ObligationPolicy(
             id=raw["id"],
             modality=raw["modality"],
@@ -93,6 +112,14 @@ _JSON_TYPES = {
 }
 
 
+def _check_type(value, json_type: type, what: str) -> None:
+    """``true`` is not an integer and ``"false"`` is not a boolean."""
+    if type(value) is not json_type:
+        raise ConfigError(
+            f"{what} must be a JSON {_JSON_TYPES[json_type]}, got {_JSON_TYPES[type(value)]}"
+        )
+
+
 def load_config(path: Optional[Path] = None, **overrides) -> ServiceConfig:
     """Build a ServiceConfig from an optional JSON file plus keyword overrides.
 
@@ -117,11 +144,7 @@ def load_config(path: Optional[Path] = None, **overrides) -> ServiceConfig:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, value in raw.items():
             name, json_type, convert = _KEYS[key]
-            if type(value) is not json_type:
-                raise ConfigError(
-                    f"config key {key!r} must be a JSON {_JSON_TYPES[json_type]},"
-                    f" got {_JSON_TYPES[type(value)]}"
-                )
+            _check_type(value, json_type, f"config key {key!r}")
             values[name] = convert(value)
     values.update({k: v for k, v in overrides.items() if v is not None})
     if "listen" in values:

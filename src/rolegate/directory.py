@@ -166,6 +166,18 @@ class Assignment:
 # running counters that enforce them live in the restriction monitor.
 SCOPE_PER_USER = "per-user"
 SCOPE_PER_ROLE = "per-role"
+# Every restriction count and window lies in 1..MAX_RESTRICTION_VALUE, so each
+# one stays within a signed 64-bit integer and far below the digit limit of
+# Python's int()/str() conversions.
+MAX_RESTRICTION_VALUE = 2**63 - 1
+
+
+def _ensure_count(value: int, what: str) -> None:
+    # a bool is an int, but exports as "True", which no bundle reader accepts
+    if type(value) is not int or not 1 <= value <= MAX_RESTRICTION_VALUE:
+        raise InvalidRestriction(
+            f"{what} must be a positive integer of at most {MAX_RESTRICTION_VALUE}"
+        )
 
 
 @dataclass(frozen=True)
@@ -188,15 +200,12 @@ class RestrictionPolicy:
         ensure_token(self.id, "restriction id")
         if self.scope not in (SCOPE_PER_USER, SCOPE_PER_ROLE):
             raise InvalidRestriction(f"unknown scope: {self.scope!r}")
-        if not isinstance(self.max_transactions, int) or self.max_transactions < 1:
-            raise InvalidRestriction("max-transactions must be a positive integer")
-        if not isinstance(self.window_seconds, int) or self.window_seconds < 1:
-            raise InvalidRestriction("window-seconds must be a positive integer")
+        _ensure_count(self.max_transactions, "max-transactions")
+        _ensure_count(self.window_seconds, "window-seconds")
         if self.max_users is not None:
             if self.scope != SCOPE_PER_ROLE:
                 raise InvalidRestriction("max-users only applies to per-role policies")
-            if not isinstance(self.max_users, int) or self.max_users < 1:
-                raise InvalidRestriction("max-users must be a positive integer")
+            _ensure_count(self.max_users, "max-users")
         if self.target is not None:
             ensure_token(self.target, "restriction target")
 

@@ -5,8 +5,10 @@ block each other.  Every state change commits through ``_commit``: under the
 write side it applies one transition to the immutable state (an
 administrative mutation from ``directory``, a bundle import or a snapshot
 restore, the last two also reloading the monitor), swaps the state reference
-and writes the live state file.  In-flight decisions finish first and new
-ones queue, so no decision can ever observe a half-applied change.  ``flush``
+and writes the live state file.  If the transition or the write fails, the
+previous state (and monitor) is put back, so the engine never holds a change
+that the live file lacks.  In-flight decisions finish first and new ones
+queue, so no decision can ever observe a half-applied change.  ``flush``
 also takes the write side, so the write lock orders every write of the live
 state file.
 
@@ -229,15 +231,30 @@ class Engine:
     def add_restriction(self, policy: RestrictionPolicy) -> None:
         self._commit(d.add_restriction, policy)
 
-    def _commit(self, transition: Callable[..., DirectoryState], *args) -> DirectoryState:
+    def _commit(
+        self,
+        transition: Callable[..., DirectoryState],
+        *args,
+        reloads_monitor: bool = False,
+    ) -> DirectoryState:
         """The one write path: apply ``transition`` and persist, under the write lock.
 
-        Returns the committed state.  A transition that raises leaves the
-        state and the live file untouched.
+        Returns the committed state.  A transition or a flush that raises
+        leaves the state, the monitor and the live file as they were.  Only
+        a transition that ``reloads_monitor`` pays for a cut of the monitor
+        to roll back to; the others never touch it.
         """
         with self._rw.write():
-            self._state = transition(self._state, *args)
-            self._flush_locked()
+            state = self._state
+            monitor = self._monitor.cut() if reloads_monitor else None
+            try:
+                self._state = transition(state, *args)
+                self._flush_locked()
+            except BaseException:
+                self._state = state
+                if monitor is not None:
+                    self._monitor.load(*monitor)
+                raise
             return self._state
 
     def set_obligations(
@@ -340,7 +357,7 @@ class Engine:
         anomalies are operational history of this engine and survive.
         """
         self._require_policy_mode("xml-based migration")
-        self._commit(self._imported, xml)
+        self._commit(self._imported, xml, reloads_monitor=True)
 
     def _imported(self, state: DirectoryState, xml: bytes) -> DirectoryState:
         new_state = import_bundle(xml, now=self.now())
@@ -379,7 +396,7 @@ class Engine:
         self._require_policy_mode("backup and restoration")
         store = self._require_store()
         cut, meta = store.load_with_meta(snapshot_id)  # verified before any mutation
-        self._commit(self._restored, cut, snapshot_id)
+        self._commit(self._restored, cut, snapshot_id, reloads_monitor=True)
         return meta
 
     def _restored(self, state: DirectoryState, cut: EngineCut, snapshot_id: int) -> DirectoryState:

@@ -31,6 +31,7 @@ from .directory import (
     ColumnDef,
     DirectoryState,
     HierarchyCycle,
+    MAX_RESTRICTION_VALUE,
     Permission,
     RbacError,
     RestrictionPolicy,
@@ -303,9 +304,19 @@ def _items(sections: dict[str, ET.Element], section: str, tag: str) -> list[ET.E
     return [] if elem is None else elem.findall(tag)
 
 
-def _positive_int(raw: str) -> bool:
-    """ASCII digits only, as for ``Content-Length``, with a value of 1 or more."""
-    return raw.isascii() and raw.isdigit() and int(raw) >= 1
+_MAX_DIGITS = len(str(MAX_RESTRICTION_VALUE))
+
+
+def _check_count(report: ValidationReport, loc: str, attr: str, raw: str) -> None:
+    """A restriction count: at most 19 ASCII digits, as for ``Content-Length``,
+    with a value in 1..MAX_RESTRICTION_VALUE.  The length is checked before
+    ``int()`` sees the string."""
+    if not (raw.isascii() and raw.isdigit() and raw.strip("0")):
+        report.error(loc, f"{attr} must be a positive integer, got {raw!r}")
+    elif len(raw) > _MAX_DIGITS or int(raw) > MAX_RESTRICTION_VALUE:
+        report.error(
+            loc, f"{attr} must be at most {MAX_RESTRICTION_VALUE}, got {len(raw)} digits"
+        )
 
 
 def _check_key(
@@ -417,15 +428,12 @@ def _check_semantics(
         if scope not in (SCOPE_PER_USER, SCOPE_PER_ROLE):
             report.error(loc, f"unknown scope {scope!r}")
         for attr in ("max-transactions", "window-seconds"):
-            raw = r.get(attr, "")
-            if not _positive_int(raw):
-                report.error(loc, f"{attr} must be a positive integer, got {raw!r}")
+            _check_count(report, loc, attr, r.get(attr, ""))
         max_users = r.get("max-users")
         if max_users is not None:
             if scope == SCOPE_PER_USER:
                 report.error(loc, "max-users is not allowed on per-user policies")
-            if not _positive_int(max_users):
-                report.error(loc, f"max-users must be a positive integer, got {max_users!r}")
+            _check_count(report, loc, "max-users", max_users)
         target = r.get("target")
         if target is not None:
             if scope == SCOPE_PER_USER and target not in user_names:

@@ -12,6 +12,12 @@ domain errors to statuses and renders the reply.  A reply sent before the
 request body was read closes the connection, so that body is never parsed as
 the next request.
 
+Every reply leaves in one socket write: status line, headers and body
+together (``wbufsize`` stays 0, so each write is a ``sendall``).  Sent as two
+writes, the small second one would wait under Nagle's algorithm for the
+client to ACK the first, and the client delays that ACK by ~40 ms, so each
+keep-alive request would take ~44 ms instead of ~1 ms.
+
 Decision traffic runs fully concurrent (one thread per connection sharing the
 engine's read lock); import and restore quiesce in-flight decisions through
 the engine's write lock, so no request ever sees a mixed old/new state.
@@ -333,8 +339,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version != "HTTP/0.9":  # an HTTP/0.9 reply is the bare body
+            self._headers_buffer.extend((b"\r\n", body))
+            body = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        self.wfile.write(body)  # the one socket write of this reply
 
 
 def _resolve(method: str, path: str):

@@ -1,6 +1,7 @@
 """Service configuration loading and validation."""
 
 import json
+import re
 
 import pytest
 
@@ -89,6 +90,41 @@ class TestLoadConfig:
         )
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+class TestObligationTypes:
+    def write(self, tmp_path, **fields):
+        obligation = {"id": "log", "modality": "must", "action": "write-log", **fields}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"obligations": [obligation]}))
+        return path
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"applies-to": "employee"}, "'applies-to' must be a JSON array, got string"),
+            ({"applies-to": ["employee", 7]}, "each member of 'applies-to' must be a JSON string"),
+            ({"applies-to": [None]}, "each member of 'applies-to' must be a JSON string"),
+            ({"condition": ["channel", "external"]}, "'condition' must be a JSON object, got array"),
+            ({"condition": {"channel": 1}}, "each member of 'condition' must be a JSON string"),
+            ({"condition": {"internal": False}}, "each member of 'condition' must be a JSON string"),
+            ({"id": 5}, "'id' must be a JSON string, got integer"),
+            ({"action": ["x"]}, "'action' must be a JSON string, got array"),
+        ],
+    )
+    def test_wrong_json_type_is_config_error(self, tmp_path, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(f"bad obligation at index 0: {message}")):
+            load_config(self.write(tmp_path, **fields))
+
+    def test_obligation_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"obligations": ["log"]}))
+        with pytest.raises(ConfigError, match="an obligation must be a JSON object, got string"):
+            load_config(path)
+
+    def test_applies_to_and_condition_are_optional(self, tmp_path):
+        (policy,) = load_config(self.write(tmp_path)).obligations
+        assert policy.applies_to == frozenset() and policy.condition == {}
 
 
 class TestValueTypes:

@@ -328,6 +328,19 @@ class TestAtomicityAndStructure:
         with pytest.raises(d.InvalidRestriction):
             d.RestrictionPolicy(id="x", scope="sideways", max_transactions=1, window_seconds=1)
 
+    @pytest.mark.parametrize("field", ["max_transactions", "window_seconds", "max_users"])
+    @pytest.mark.parametrize(
+        "value",
+        [d.MAX_RESTRICTION_VALUE + 1, 10**5000, True],
+        ids=["max-plus-1", "5001-digits", "bool"],
+    )
+    def test_restriction_values_are_bounded(self, field, value):
+        values = {"max_transactions": 1, "window_seconds": 1, "max_users": 1, field: value}
+        with pytest.raises(d.InvalidRestriction):
+            d.RestrictionPolicy(id="x", scope="per-role", **values)
+        values[field] = d.MAX_RESTRICTION_VALUE
+        d.RestrictionPolicy(id="x", scope="per-role", **values)
+
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))

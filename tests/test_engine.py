@@ -17,7 +17,8 @@ from rolegate import (
     Reason,
 )
 from rolegate import directory as d
-from rolegate.snapshots import read_state_file
+from rolegate import engine as engine_module
+from rolegate.snapshots import SnapshotStore, StorageFull, read_state_file
 
 def req(subject, resource, action, rid="fixed"):
     return AccessRequest(subject, resource, Action(action), {}, rid)
@@ -330,6 +331,80 @@ class TestLiveFileWriters:
         assert bad_reads == []
         assert reads > 0
         assert sorted(os.listdir(tmp_path)) == ["live.rbak"]
+
+
+class TestRestrictionBound:
+    def test_huge_cap_refused_and_engine_keeps_flushing(self, clock, tmp_path):
+        eng = Engine.open(tmp_path / "live.rbak", clock=clock)
+        with pytest.raises(d.InvalidRestriction):
+            eng.add_restriction(
+                d.RestrictionPolicy(
+                    id="huge", scope="per-user", max_transactions=10**5000, window_seconds=60
+                )
+            )
+        largest = d.RestrictionPolicy(
+            id="max",
+            scope="per-user",
+            max_transactions=d.MAX_RESTRICTION_VALUE,
+            window_seconds=d.MAX_RESTRICTION_VALUE,
+        )
+        eng.add_restriction(largest)
+        eng.create_user("alice")
+        assert Engine.open(tmp_path / "live.rbak").state.restrictions == {"max": largest}
+
+
+class TestFailedFlush:
+    """A change whose live-file write fails is not kept in memory either."""
+
+    @pytest.fixture
+    def durable(self, clock, tmp_path):
+        eng = Engine.open(
+            tmp_path / "live.rbak",
+            clock=clock,
+            snapshot_store=SnapshotStore(tmp_path / "snapshots"),
+        )
+        eng.create_user("alice")
+        eng.create_role("employee")
+        eng.grant_permission("employee", Permission("docs", Action.READ))
+        eng.assign_role("alice", "employee")
+        eng.add_restriction(
+            d.RestrictionPolicy(id="lim", scope="per-user", max_transactions=5, window_seconds=60)
+        )
+        eng.check_access(req("alice", "docs", "read", "r1"))
+        eng.create_snapshot("before")
+        eng.check_access(req("alice", "docs", "read", "r2"))  # counters move past the snapshot
+        return eng
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda eng, other: eng.create_user("bob"),
+            lambda eng, other: eng.create_role("auditor", ["employee"]),
+            lambda eng, other: eng.revoke_role("alice", "employee"),
+            lambda eng, other: eng.add_restriction(
+                d.RestrictionPolicy(id="cap", scope="per-user", max_transactions=1, window_seconds=9)
+            ),
+            lambda eng, other: eng.import_xml(other),
+            lambda eng, other: eng.restore_snapshot(1),
+        ],
+        ids=["create-user", "create-role", "revoke", "restrict", "import", "restore"],
+    )
+    def test_state_and_monitor_roll_back(self, durable, clock, monkeypatch, change):
+        other = Engine(clock=clock)
+        other.create_user("carol")
+        bundle = other.export_xml()
+        monitor_before = durable.monitor.cut()
+
+        def full(path, cut):
+            raise StorageFull("no space left on device")
+
+        monkeypatch.setattr(engine_module, "write_state_file", full)
+        with pytest.raises(StorageFull):
+            change(durable, bundle)
+        monkeypatch.undo()
+        assert durable.state == Engine.open(durable.live_path).state
+        assert durable.monitor.cut() == monitor_before
+        assert durable.check_access(req("alice", "docs", "read", "r3")).effect is Effect.PERMIT
 
 
 class TestObligationInstall:

@@ -115,6 +115,16 @@ class TestExportCanonicalForm:
         assert same_directory(import_bundle(xml), state)
 
 
+def restriction_bundle(**attrs) -> bytes:
+    """A bundle holding one per-role restriction ``x``; ``attrs`` override its attributes."""
+    attrs = {"id": "x", "scope": "per-role", "max-transactions": "5", "window-seconds": "60", **attrs}
+    rendered = "".join(f' {k}="{v}"' for k, v in sorted(attrs.items()))
+    return (
+        f'<migration format-version="1.0"><restrictions><restriction{rendered}/>'
+        f"</restrictions></migration>"
+    ).encode()
+
+
 class TestValidate:
     def test_clean_bundle_ok(self):
         report = validate_bundle(export_bundle(three_role_state()))
@@ -224,13 +234,7 @@ class TestValidate:
     @pytest.mark.parametrize("value", ["\u00b2", "\u0661"])  # superscript two, Arabic-Indic one
     @pytest.mark.parametrize("attr", ["max-transactions", "window-seconds", "max-users"])
     def test_numeric_attributes_are_ascii_digits(self, attr, value):
-        attrs = {"id": "x", "scope": "per-role", "max-transactions": "5", "window-seconds": "60"}
-        attrs[attr] = value
-        rendered = "".join(f' {k}="{v}"' for k, v in sorted(attrs.items()))
-        xml = (
-            f'<migration format-version="1.0"><restrictions><restriction{rendered}/>'
-            f"</restrictions></migration>"
-        ).encode()
+        xml = restriction_bundle(**{attr: value})
         report = validate_bundle(xml)
         assert Issue(
             "error",
@@ -240,6 +244,35 @@ class TestValidate:
         with pytest.raises(ValidationFailed) as exc:
             import_bundle(xml)
         assert exc.value.report.issues == report.issues
+
+    @pytest.mark.parametrize(
+        "value",
+        ["9" * 5000, str(d.MAX_RESTRICTION_VALUE + 1), "0" * 19 + "1"],
+        ids=["5000-digits", "max-plus-1", "20-digits-leading-zeros"],
+    )
+    @pytest.mark.parametrize("attr", ["max-transactions", "window-seconds", "max-users"])
+    def test_numeric_attributes_are_bounded(self, attr, value):
+        xml = restriction_bundle(**{attr: value})
+        report = validate_bundle(xml)
+        assert report.issues == [
+            Issue(
+                "error",
+                "/migration/restrictions/restriction[@id='x']",
+                f"{attr} must be at most {d.MAX_RESTRICTION_VALUE}, got {len(value)} digits",
+            )
+        ]
+        with pytest.raises(ValidationFailed) as exc:
+            import_bundle(xml)
+        assert exc.value.report.issues == report.issues
+
+    def test_largest_value_round_trips(self):
+        top = str(d.MAX_RESTRICTION_VALUE)
+        xml = restriction_bundle(**{"max-transactions": top, "window-seconds": top, "max-users": top})
+        assert validate_bundle(xml).ok
+        policy = import_bundle(xml).restrictions["x"]
+        assert policy.max_transactions == policy.max_users == d.MAX_RESTRICTION_VALUE
+        exported = export_bundle(import_bundle(xml))
+        assert export_bundle(import_bundle(exported)) == exported
 
     def test_unordered_sod_pair_rejected(self):
         xml = (

@@ -3,7 +3,9 @@
 import http.client
 import re
 import socket
+import socketserver
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -203,6 +205,65 @@ class TestUnreadBody:
         assert rest == b"" or (rest.startswith(b"HTTP/1.1 200 ") and b"status=ready" in rest)
 
 
+class TestOneWritePerReply:
+    """Status line, headers and body leave in one socket write.
+
+    A body sent in a second small write waits under Nagle's algorithm for the
+    client's delayed ACK of the first, ~40 ms per keep-alive request.
+    """
+
+    @pytest.fixture
+    def writes(self, monkeypatch):
+        sizes = []
+        original = socketserver._SocketWriter.write
+
+        def write(self, data):
+            sizes.append(len(data))
+            return original(self, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", write)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "head, body, status",
+        [
+            (b"POST /v1/decision HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: 38",
+             b"subject=bob\nresource=docs\naction=read\n", b"200"),
+            (b"GET /v1/export HTTP/1.1\r\nHost: x\r\nConnection: close", b"", b"200"),
+            (b"GET /v1/nope HTTP/1.1\r\nHost: x\r\nConnection: close", b"", b"404"),
+            (b"POST /v1/users HTTP/1.1\r\nHost: x\r\nX-Api-Token: wrong\r\nContent-Length: 12",
+             b"name=mallory", b"401"),
+            (b"POST /v1/decision HTTP/1.1\r\nHost: x\r\nContent-Length: -1", b"subject=x", b"400"),
+        ],
+        ids=["decision", "export", "not-found", "unauthorized-close", "bad-length"],
+    )
+    def test_every_reply_kind_is_one_write(self, service, writes, head, body, status):
+        reply = raw_exchange(service, head, body)
+        assert reply.startswith(b"HTTP/1.1 " + status + b" ")
+        assert writes == [len(reply)]
+        # the 401 and the 400 answer before reading the body, so they close
+        assert (b"\r\nConnection: close\r\n" in reply) == (status in (b"401", b"400"))
+
+    def test_http09_reply_is_the_bare_body(self, service, writes):
+        reply = raw_exchange(service, b"GET /v1/health", b"")
+        assert reply == b"status=ready\nmode=policy\n"
+        assert writes == [len(reply)]
+
+    def test_keepalive_decisions_do_not_wait_for_delayed_ack(self, service):
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        body = b"subject=bob\nresource=docs\naction=read\n"
+        try:
+            start = time.perf_counter()
+            for _ in range(50):
+                conn.request("POST", "/v1/decision", body=body)
+                resp = conn.getresponse()
+                assert resp.status == 200 and resp.read().startswith(b"effect=deny\n")
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 1.0  # two writes per reply take >= 2.2 s (~44 ms each)
+
+
 class TestAuth:
     def test_admin_mutation_requires_token(self, service):
         status, body = call(service, "POST", "/v1/users", "name=x\n")
@@ -346,6 +407,19 @@ class TestAdminEndpoints:
         fields = parse_kv(anomalies.decode())
         assert fields["count"] == ["1"]
         assert "\tb" in fields["event"][0] or fields["event"][0].endswith("b")
+
+
+    @pytest.mark.parametrize(
+        "value",
+        ["9" * 5000, "9" * 4000, "9223372036854775808"],
+        ids=["5000-digits", "4000-digits", "max-plus-1"],
+    )
+    def test_restriction_values_are_bounded(self, service, value):
+        body = f"id=lim\nscope=per-user\nmax-transactions={value}\nwindow-seconds=60\n"
+        status, reply = call(service, "POST", "/v1/restrictions", body, TOKEN)
+        assert status == 400
+        assert service.engine.state.restrictions == {}
+        assert call(service, "POST", "/v1/users", "name=carol\n", TOKEN)[0] == 201
 
 
 class TestRolesAtomic:
