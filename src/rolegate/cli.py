@@ -18,7 +18,7 @@ from typing import Optional
 
 from .config import ConfigError, ServiceConfig, load_config
 from .decision import AccessRequest
-from .directory import Action, Permission, RbacError, RestrictionPolicy
+from .directory import Action, Permission, RbacError, RestrictionPolicy, parse_digits
 from .engine import Engine
 from .migration import ValidationReport
 from .restriction import iso8601
@@ -45,6 +45,14 @@ def _print_report(report: ValidationReport, stream) -> None:
     print(f"ok={'true' if report.ok else 'false'}", file=stream)
     for issue in report.issues:
         print(issue.line(), file=stream)
+
+
+def _digits(raw: str) -> int:
+    """The type of every number option: ``parse_digits`` or a usage error."""
+    value = parse_digits(raw)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"must be 1 to 19 ASCII digits, got {raw!r}")
+    return value
 
 
 def _context_pairs(raw: list[str]) -> dict[str, str]:
@@ -194,8 +202,8 @@ def cmd_snapshot_restore(engine: Engine, args) -> int:
         snapshot_id = engine.snapshot_store.latest_id()
         if snapshot_id is None:
             raise RbacError("no snapshots in catalog")
-    else:
-        snapshot_id = int(args.id)
+    elif (snapshot_id := parse_digits(args.id)) is None:
+        raise RbacError(f"snapshot id must be 1 to 19 ASCII digits or 'latest', got {args.id!r}")
     meta = engine.restore_snapshot(snapshot_id)
     print(f"restored snapshot {meta.id}")
     return EXIT_OK
@@ -310,9 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--id", required=True)
     pa.add_argument("--scope", required=True, choices=["per-user", "per-role"])
     pa.add_argument("--target")
-    pa.add_argument("--max-transactions", required=True, type=int)
-    pa.add_argument("--window-seconds", required=True, type=int)
-    pa.add_argument("--max-users", type=int)
+    pa.add_argument("--max-transactions", required=True, type=_digits)
+    pa.add_argument("--window-seconds", required=True, type=_digits)
+    pa.add_argument("--max-users", type=_digits)
     pa.set_defaults(func=cmd_restrict_add)
 
     p = sub.add_parser("export", help="write the migration bundle XML")
@@ -342,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="query the audit log")
     p.add_argument("--subject")
     p.add_argument("--effect", choices=["permit", "deny"])
-    p.add_argument("--since", type=int)
-    p.add_argument("--until", type=int)
-    p.add_argument("--limit", type=int, default=1000)
+    p.add_argument("--since", type=_digits)
+    p.add_argument("--until", type=_digits)
+    p.add_argument("--limit", type=_digits, default=1000)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("anomalies", help="drain pending anomaly events")

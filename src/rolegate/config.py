@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Optional
 
 from .decision import ObligationPolicy
-from .directory import RbacError
+from .directory import RbacError, parse_digits
 
 DEFAULT_PORT = 8640
 
@@ -157,6 +157,7 @@ def load_config(path: Optional[Path] = None, **overrides) -> ServiceConfig:
 
 def parse_listen(value: str) -> tuple[str, int]:
     host, sep, port = str(value).rpartition(":")
-    if not sep or not (port.isascii() and port.isdigit()):
+    number = parse_digits(port)
+    if not sep or number is None:
         raise ConfigError(f"listen must be host:port, got {value!r}")
-    return host or "127.0.0.1", int(port)
+    return host or "127.0.0.1", number

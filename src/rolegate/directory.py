@@ -170,6 +170,19 @@ SCOPE_PER_ROLE = "per-role"
 # one stays within a signed 64-bit integer and far below the digit limit of
 # Python's int()/str() conversions.
 MAX_RESTRICTION_VALUE = 2**63 - 1
+_MAX_DIGITS = len(str(MAX_RESTRICTION_VALUE))
+
+
+def parse_digits(raw: str) -> Optional[int]:
+    """``raw`` as an int if it is ``1*19DIGIT`` in ASCII, else None.
+
+    The one number syntax of bundles, HTTP fields, query parameters,
+    ``Content-Length`` and CLI options: no sign, space, ``_`` or non-ASCII
+    digit, and the length is checked before ``int()`` sees the string.
+    """
+    if raw.isascii() and raw.isdigit() and len(raw) <= _MAX_DIGITS:
+        return int(raw)
+    return None
 
 
 def _ensure_count(value: int, what: str) -> None:

@@ -11,12 +11,17 @@ tag, set-like sibling elements sorted by their identifying attribute.  Table
 columns are the one exception: their order is semantic and preserved exactly
 as declared.
 
-One reader serves validation and import.  ``_SCHEMA`` describes every
-element; a single structural walk checks the tree against it, and the
-semantic checks (names, references, cycles, exclusive pairs, numeric values)
-read the parsed elements directly.  Import runs exactly the checks
-``validate_bundle`` runs, refuses any bundle whose report contains errors,
-and then builds the state from the same elements.  Import is
+One reader serves validation and import, in a single streaming pass: the
+bytes reach an XML pull parser a few KiB at a time and the element tree is
+never held.  ``_SCHEMA`` describes every element.  As each section item (a
+table, role, user, restriction or exclusive pair) ends, the structural walk
+checks it against the schema, the item is condensed to a tuple of strings
+and dropped from the tree; each section and the root are checked as they
+end.  The semantic checks (names, references, cycles, exclusive pairs,
+numeric values) and the state builder read the tuples, so an import needs
+the memory of the state it builds plus the tuples, not that of the tree.
+Import runs exactly the checks ``validate_bundle`` runs, refuses any bundle
+whose report contains errors, and then builds the state.  Import is
 replace-not-merge, so a failed import cannot leave a partially applied state.
 """
 
@@ -41,6 +46,7 @@ from .directory import (
     TableSchema,
     is_resource,
     is_token,
+    parse_digits,
     sod_pair,
     topological_order,
 )
@@ -265,55 +271,145 @@ def _check_element(elem: ET.Element, locator: str, report: ValidationReport) -> 
     return children
 
 
+def _locator(parent: str, child: ET.Element) -> str:
+    key = _LOCATOR_KEY.get(child.tag)
+    suffix = f"[@{key}={child.get(key, '?')!r}]" if key else ""
+    return f"{parent}/{child.tag}{suffix}"
+
+
 def _walk(elem: ET.Element, locator: str, report: ValidationReport) -> None:
     """Check ``elem``, then depth first every child the schema allows there."""
     allowed = _check_element(elem, locator, report)
     for child in elem:
         if child.tag in allowed:
-            key = _LOCATOR_KEY.get(child.tag)
-            suffix = f"[@{key}={child.get(key, '?')!r}]" if key else ""
-            _walk(child, f"{locator}/{child.tag}{suffix}", report)
+            _walk(child, _locator(locator, child), report)
 
 
-def _check_bundle(root: ET.Element, report: ValidationReport) -> dict[str, ET.Element]:
-    """Every check of a parsed bundle; returns the first element of each section.
+# Section -> (item tag, condenser).  The condenser keeps of an item what the
+# semantic checks and the state builder read, as a tuple of strings.
+_ITEMS = {
+    "schema": ("table", lambda e: (  # (name, ((column, type, nullable), ...))
+        e.get("name", ""),
+        tuple((c.get("name", ""), c.get("type", ""), c.get("nullable", ""))
+              for c in e if c.tag == "column"),
+    )),
+    "roles": ("role", lambda e: (  # (name, (parent, ...), ((action, resource), ...))
+        e.get("name", ""),
+        tuple(c.get("role", "") for c in e if c.tag == "inherits"),
+        tuple((c.get("action", ""), c.get("resource", "")) for c in e if c.tag == "permission"),
+    )),
+    "users": ("user", lambda e: (  # (name, (role, ...))
+        e.get("name", ""),
+        tuple(c.get("role", "") for c in e if c.tag == "member-of"),
+    )),
+    "restrictions": ("restriction", lambda e: (  # target and max-users may be None
+        e.get("id", ""), e.get("scope", ""), e.get("max-transactions", ""),
+        e.get("window-seconds", ""), e.get("target"), e.get("max-users"),
+    )),
+    "sod": ("exclusive", lambda e: (e.get("role-a", ""), e.get("role-b", ""))),
+}
 
-    A wrong root is reported alone: nothing below it is checked.
+# Bytes handed to the XML parser at a time.  A chunk's elements, attribute
+# dicts and events (~470 tracked objects per 4 KiB of a typical bundle) then
+# die before the cyclic GC's youngest generation (700 objects) is collected.
+# With 64 KiB chunks they outlived two collections, and a 100k-user import
+# beside another large directory ran 18 full collections instead of none.
+_CHUNK = 4 * 1024
+
+
+def _events(xml: bytes):
+    """The parser's (event, element) pairs, one list per chunk of ``xml``.
+
+    MalformedXml for a parse error and for an unknown or unsupported encoding.
     """
+    parser = ET.XMLPullParser(("start", "end"))
+    try:
+        at, size = 0, _CHUNK
+        while at < len(xml):
+            parser.feed(xml[at : at + size])
+            at += size
+            events = list(parser.read_events())
+            # Expat scans a token cut by the end of a chunk again on each feed;
+            # doubling the chunk while no element completes keeps a token much
+            # longer than a chunk linear in its length, not quadratic.
+            size = size * 2 if not events else _CHUNK
+            yield events
+        parser.close()
+        yield list(parser.read_events())
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        raise MalformedXml(str(exc)) from exc
+
+
+def _read(xml: bytes) -> tuple[ET.Element, dict[str, list[tuple]], ValidationReport]:
+    """One streaming pass: the root, the condensed items by tag, and the report.
+
+    The report lists what a depth-first walk of the whole tree finds: the
+    root's check, then each section in turn (its own check, then its items'),
+    then the semantic checks; a wrong root is reported alone.  An item leaves
+    the tree once condensed, and every other element below the root is
+    cleared once read, so the tree is never held.
+    """
+    report = ValidationReport()  # the root's issues, then the rest
+    sections = ValidationReport()  # the issues of the sections read so far
+    walked = ValidationReport()  # the issues of the open section's items
+    items: dict[str, list[tuple]] = {tag: [] for tag, _ in _ITEMS.values()}
+    seen: set[str] = set()
+    root = section = None  # the root, and the open section
+    loc = ""  # the open section's locator
+    item = condense = None  # the open section's item tag and condenser, if it is checked
+    kept = 0  # the open section's children still in it: all but its items
+    depth = 0
+    for events in _events(xml):
+        for event, elem in events:
+            if event == "start":
+                depth += 1
+                if depth == 1:
+                    root = elem
+                elif depth == 2:
+                    section, kept = elem, 0
+                    if root.tag == "migration":
+                        loc = f"/migration/{elem.tag}"
+                        if elem.tag in seen:
+                            sections.error(loc, f"duplicate section <{elem.tag}>")
+                        elif elem.tag in _ITEMS:
+                            item, condense = _ITEMS[elem.tag]
+                        else:
+                            sections.error(loc, f"unknown element <{elem.tag}>")
+                        seen.add(elem.tag)
+                continue
+            depth -= 1
+            if depth == 2:
+                if elem.tag == item:
+                    _walk(elem, _locator(loc, elem), walked)
+                    items[item].append(condense(elem))
+                    # Every child before it was an item, now deleted, or is
+                    # kept, so it sits at index ``kept``.  Its siblings after
+                    # it may already be parsed.
+                    del section[kept]
+                else:  # the section's check reads only its tag
+                    elem.clear()
+                    kept += 1
+            elif depth == 1:
+                if item is not None:
+                    _check_element(elem, loc, sections)
+                    sections.issues += walked.issues
+                    walked = ValidationReport()
+                    item = condense = None
+                elem.clear()
     if root.tag != "migration":
         report.error("/", f"root element must be <migration>, got <{root.tag}>")
-        return {}
-    known = _check_element(root, "/migration", report)
-    sections: dict[str, ET.Element] = {}
-    for section in root:
-        loc = f"/migration/{section.tag}"
-        if section.tag in sections:
-            report.error(loc, f"duplicate section <{section.tag}>")
-            continue
-        sections[section.tag] = section
-        if section.tag in known:
-            _walk(section, loc, report)
-        else:
-            report.error(loc, f"unknown element <{section.tag}>")
-    _check_semantics(root, sections, report)
-    return sections
-
-
-def _items(sections: dict[str, ET.Element], section: str, tag: str) -> list[ET.Element]:
-    elem = sections.get(section)
-    return [] if elem is None else elem.findall(tag)
-
-
-_MAX_DIGITS = len(str(MAX_RESTRICTION_VALUE))
+        return root, items, report
+    _check_element(root, "/migration", report)
+    report.issues += sections.issues
+    _check_semantics(root.get("format-version", ""), items, report)
+    return root, items, report
 
 
 def _check_count(report: ValidationReport, loc: str, attr: str, raw: str) -> None:
-    """A restriction count: at most 19 ASCII digits, as for ``Content-Length``,
-    with a value in 1..MAX_RESTRICTION_VALUE.  The length is checked before
-    ``int()`` sees the string."""
+    """A restriction count: ``parse_digits`` syntax, value in 1..MAX_RESTRICTION_VALUE."""
     if not (raw.isascii() and raw.isdigit() and raw.strip("0")):
         report.error(loc, f"{attr} must be a positive integer, got {raw!r}")
-    elif len(raw) > _MAX_DIGITS or int(raw) > MAX_RESTRICTION_VALUE:
+    elif (value := parse_digits(raw)) is None or value > MAX_RESTRICTION_VALUE:
         report.error(
             loc, f"{attr} must be at most {MAX_RESTRICTION_VALUE}, got {len(raw)} digits"
         )
@@ -330,10 +426,7 @@ def _check_key(
     seen.add(value)
 
 
-def _check_semantics(
-    root: ET.Element, sections: dict[str, ET.Element], report: ValidationReport
-) -> None:
-    version = root.get("format-version", "")
+def _check_semantics(version: str, items: dict[str, list[tuple]], report: ValidationReport) -> None:
     if version != FORMAT_VERSION:
         report.error(
             "/migration",
@@ -341,34 +434,26 @@ def _check_semantics(
         )
 
     table_names: set[str] = set()
-    for table in _items(sections, "schema", "table"):
-        name = table.get("name", "")
+    for name, columns in items["table"]:
         loc = f"/migration/schema/table[@name={name!r}]"
         _check_key(report, loc, "table", "name", name, table_names)
         col_names: set[str] = set()
-        for col in table.findall("column"):
-            col_name = col.get("name", "")
+        for col_name, col_type, nullable in columns:
             cloc = f"{loc}/column[@name={col_name!r}]"
             _check_key(report, cloc, "column", "name", col_name, col_names)
-            col_type = col.get("type", "")
             if col_type not in ColumnDef.TYPES:
                 report.error(cloc, f"unknown column type {col_type!r}")
-            nullable = col.get("nullable", "")
             if nullable not in ("true", "false"):
                 report.error(cloc, f"nullable must be 'true' or 'false', got {nullable!r}")
 
-    roles = _items(sections, "roles", "role")
+    roles = items["role"]
     role_names: set[str] = set()
-    for role in roles:
-        name = role.get("name", "")
+    for name, _, _ in roles:
         loc = f"/migration/roles/role[@name={name!r}]"
         _check_key(report, loc, "role", "name", name, role_names)
 
-    parents_of: dict[str, list[str]] = {}
-    for role in roles:
-        name = role.get("name", "")
+    for name, parents, perms in roles:
         loc = f"/migration/roles/role[@name={name!r}]"
-        parents = parents_of[name] = [p.get("role", "") for p in role.findall("inherits")]
         seen_parents: set[str] = set()
         for parent in parents:
             ploc = f"{loc}/inherits[@role={parent!r}]"
@@ -377,10 +462,8 @@ def _check_semantics(
             if parent in seen_parents:
                 report.error(ploc, f"duplicate inherits {parent!r}")
             seen_parents.add(parent)
-        perms = role.findall("permission")
         seen_perms: set[tuple[str, str]] = set()
-        for perm in perms:
-            action, resource = perm.get("action", ""), perm.get("resource", "")
+        for action, resource in perms:
             perm_loc = f"{loc}/permission[@action={action!r}]"
             if action not in _ACTIONS:
                 report.error(perm_loc, f"unknown action {action!r}")
@@ -392,9 +475,9 @@ def _check_semantics(
         if not parents and not perms:
             report.warning(loc, f"role {name!r} grants nothing and inherits nothing")
 
-    graph = {
+    graph = {  # a repeated role name: the last wins
         name: Role(name, frozenset(p for p in parents if p in role_names))
-        for name, parents in parents_of.items()
+        for name, parents, _ in roles
     }
     try:
         topological_order(graph)
@@ -402,12 +485,11 @@ def _check_semantics(
         report.error(f"/migration/roles/role[@name={exc.path[0]!r}]", f"hierarchy cycle: {exc}")
 
     user_names: set[str] = set()
-    memberships: dict[str, list[str]] = {}  # a repeated user name: the last wins
-    for user in _items(sections, "users", "user"):
-        name = user.get("name", "")
+    memberships: dict[str, tuple[str, ...]] = {}  # a repeated user name: the last wins
+    for name, held in items["user"]:
         loc = f"/migration/users/user[@name={name!r}]"
         _check_key(report, loc, "user", "name", name, user_names)
-        held = memberships[name] = [m.get("role", "") for m in user.findall("member-of")]
+        memberships[name] = held
         seen: set[str] = set()
         for role in held:
             mloc = f"{loc}/member-of[@role={role!r}]"
@@ -420,21 +502,17 @@ def _check_semantics(
             report.warning(loc, f"user {name!r} has no memberships")
 
     restriction_ids: set[str] = set()
-    for r in _items(sections, "restrictions", "restriction"):
-        rid = r.get("id", "")
+    for rid, scope, max_transactions, window_seconds, target, max_users in items["restriction"]:
         loc = f"/migration/restrictions/restriction[@id={rid!r}]"
         _check_key(report, loc, "restriction", "id", rid, restriction_ids)
-        scope = r.get("scope", "")
         if scope not in (SCOPE_PER_USER, SCOPE_PER_ROLE):
             report.error(loc, f"unknown scope {scope!r}")
-        for attr in ("max-transactions", "window-seconds"):
-            _check_count(report, loc, attr, r.get(attr, ""))
-        max_users = r.get("max-users")
+        _check_count(report, loc, "max-transactions", max_transactions)
+        _check_count(report, loc, "window-seconds", window_seconds)
         if max_users is not None:
             if scope == SCOPE_PER_USER:
                 report.error(loc, "max-users is not allowed on per-user policies")
             _check_count(report, loc, "max-users", max_users)
-        target = r.get("target")
         if target is not None:
             if scope == SCOPE_PER_USER and target not in user_names:
                 report.error(loc, f"target user {target!r} not declared")
@@ -446,8 +524,7 @@ def _check_semantics(
         for role in held:
             holders[role].add(user)
     seen_pairs: set[tuple[str, str]] = set()
-    for pair_elem in _items(sections, "sod", "exclusive"):
-        a, b = pair_elem.get("role-a", ""), pair_elem.get("role-b", "")
+    for a, b in items["exclusive"]:
         loc = f"/migration/sod/exclusive[@role-a={a!r}]"
         if a == b:
             report.error(loc, f"exclusive pair names the same role twice: {a!r}")
@@ -469,24 +546,14 @@ def _check_semantics(
                 )
 
 
-def _parse(xml: bytes) -> ET.Element:
-    """The root element; MalformedXml also for an unknown or unsupported encoding."""
-    try:
-        return ET.fromstring(xml)
-    except (ET.ParseError, LookupError, ValueError) as exc:
-        raise MalformedXml(str(exc)) from exc
-
-
 def validate_bundle(xml: bytes) -> ValidationReport:
     """Full validation; every finding goes in the report, nothing raises."""
-    report = ValidationReport()
     try:
-        root = _parse(xml)
+        return _read(xml)[2]
     except MalformedXml as exc:
+        report = ValidationReport()
         report.error("/", f"malformed XML: {exc}")
         return report
-    _check_bundle(root, report)
-    return report
 
 
 def import_bundle(xml: bytes, now: int = 0) -> DirectoryState:
@@ -496,65 +563,37 @@ def import_bundle(xml: bytes, now: int = 0) -> DirectoryState:
     MalformedXml / UnsupportedVersion / ValidationFailed, the last carrying
     exactly the report ``validate_bundle`` gives; on any of them the caller's
     current state is untouched (nothing is applied until the whole bundle has
-    been materialized).
+    been read).
     """
-    root = _parse(xml)
+    root, items, report = _read(xml)
     if root.tag == "migration":
         version = root.get("format-version")
         if version != FORMAT_VERSION:
             raise UnsupportedVersion(f"format-version {version!r}")
-    report = ValidationReport()
-    sections = _check_bundle(root, report)
     if not report.ok:
         raise ValidationFailed(report)
 
-    roles = {
-        role.get("name"): Role(
-            name=role.get("name"),
-            parents=frozenset(p.get("role") for p in role.findall("inherits")),
-            permissions=frozenset(
-                Permission(p.get("resource"), Action(p.get("action")))
-                for p in role.findall("permission")
-            ),
+    stamp = int(now)
+    restrictions = {
+        rid: RestrictionPolicy(
+            rid, scope, int(max_tx), int(window), target, None if cap is None else int(cap)
         )
-        for role in _items(sections, "roles", "role")
+        for rid, scope, max_tx, window, target, cap in items["restriction"]
     }
-    users = _items(sections, "users", "user")
-    assignments = {
-        (user.get("name"), m.get("role")): int(now)
-        for user in users
-        for m in user.findall("member-of")
-    }
-    restrictions = {}
-    for r in _items(sections, "restrictions", "restriction"):
-        max_users = r.get("max-users")
-        restrictions[r.get("id")] = RestrictionPolicy(
-            id=r.get("id"),
-            scope=r.get("scope"),
-            max_transactions=int(r.get("max-transactions")),
-            window_seconds=int(r.get("window-seconds")),
-            target=r.get("target"),
-            max_users=int(max_users) if max_users is not None else None,
-        )
-    tables = sorted(
-        (
-            TableSchema(
-                name=table.get("name"),
-                columns=tuple(
-                    ColumnDef(c.get("name"), c.get("type"), nullable=c.get("nullable") == "true")
-                    for c in table.findall("column")
-                ),
-            )
-            for table in _items(sections, "schema", "table")
-        ),
-        key=lambda t: t.name,
+    tables = (
+        TableSchema(name, tuple(ColumnDef(c, t, nullable=n == "true") for c, t, n in columns))
+        for name, columns in items["table"]
     )
-    pairs = _items(sections, "sod", "exclusive")
     return DirectoryState(
-        users=frozenset(user.get("name") for user in users),
-        roles=roles,
-        assignments=assignments,
-        sod=frozenset(sod_pair(e.get("role-a"), e.get("role-b")) for e in pairs),
+        users=frozenset(name for name, _ in items["user"]),
+        roles={
+            name: Role(
+                name, frozenset(parents), frozenset(Permission(r, Action(a)) for a, r in perms)
+            )
+            for name, parents, perms in items["role"]
+        },
+        assignments={(user, role): stamp for user, held in items["user"] for role in held},
+        sod=frozenset(sod_pair(a, b) for a, b in items["exclusive"]),
         restrictions=restrictions,
-        tables=tuple(tables),
+        tables=tuple(sorted(tables, key=lambda t: t.name)),
     )

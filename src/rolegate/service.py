@@ -36,7 +36,14 @@ from urllib.parse import parse_qsl, urlparse
 
 from .config import ServiceConfig
 from .decision import AccessRequest, Decision
-from .directory import Action, DirectoryMetrics, Permission, RbacError, RestrictionPolicy
+from .directory import (
+    Action,
+    DirectoryMetrics,
+    Permission,
+    RbacError,
+    RestrictionPolicy,
+    parse_digits,
+)
 from .engine import Engine
 from .migration import ValidationReport
 from .restriction import RestrictionMonitor, iso8601
@@ -279,11 +286,9 @@ class _Handler(BaseHTTPRequestHandler):
         if "Transfer-Encoding" in self.headers:
             raise WireError("Transfer-Encoding is not supported; send Content-Length")
         raw = (self.headers.get("Content-Length") or "0").strip()
-        # 1*DIGIT only: int() also takes "-1", "+5" or "1_0", and
-        # rfile.read(-1) waits for EOF
-        digits = raw.isascii() and raw.isdigit() and len(raw) < 20
-        length = int(raw) if digits else -1
-        if not 0 <= length <= MAX_BODY_BYTES:
+        # int() would also take "-1", "+5" or "1_0", and rfile.read(-1) waits for EOF
+        length = parse_digits(raw)
+        if length is None or length > MAX_BODY_BYTES:
             raise WireError(f"invalid or too large Content-Length: {raw[:32]!r}")
         self._unread = False
         return self.rfile.read(length) if length else b""
@@ -406,13 +411,13 @@ def _import(engine: Engine, req: _Handler):
 
 
 def _audit(engine: Engine, req: _Handler):
-    limit = req.qi("limit")
     records = engine.query_audit(
         subject=req.query.get("subject"),
         effect=req.query.get("effect"),
         since=req.qi("since"),
         until=req.qi("until"),
-        limit=1000 if limit is None else limit,
+        # a limit that is not digits is out of range, like 0
+        limit=parse_digits(req.query.get("limit", "1000")) or 0,
     )
     return 200, _listing("record", records)
 
@@ -501,9 +506,7 @@ def _list_snapshots(engine: Engine, req: _Handler):
 
 
 def _restore(engine: Engine, req: _Handler):
-    if not req.param.isdigit():
-        raise WireError(f"snapshot id must be an integer, got {req.param!r}")
-    meta = engine.restore_snapshot(int(req.param))
+    meta = engine.restore_snapshot(_int(req.param, "snapshot id"))
     return 200, [("restored", str(meta.id)), ("checksum", meta.checksum)]
 
 
@@ -537,10 +540,10 @@ def _b(value: bool) -> str:
 
 
 def _int(raw: str, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise WireError(f"{what} must be an integer, got {raw!r}")
+    value = parse_digits(raw)
+    if value is None:
+        raise WireError(f"{what} must be 1 to 19 ASCII digits, got {raw!r}")
+    return value
 
 
 def _permission(action: str, resource: str) -> Permission:

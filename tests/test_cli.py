@@ -68,6 +68,26 @@ class TestAdminCommands:
         assert code == 1 and "error" in err
 
 
+class TestNumberOptions:
+    @pytest.mark.parametrize("value", ["1_000", "+5", " 7 ", "\u0663"])
+    @pytest.mark.parametrize("option", ["--max-transactions", "--window-seconds", "--max-users"])
+    def test_restriction_numbers_are_digits(self, capsys, data_dir, option, value):
+        numbers = {"--max-transactions": "5", "--window-seconds": "60", "--max-users": "2"}
+        numbers[option] = value
+        argv = ["--data-dir", data_dir, "restrict", "add", "--id", "lim", "--scope", "per-role"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [arg for pair in numbers.items() for arg in pair])
+        assert exc.value.code == 2
+        assert "1 to 19 ASCII digits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-5", "+5", "1_000", " 7 ", "\u0663"])
+    @pytest.mark.parametrize("option", ["--since", "--until", "--limit"])
+    def test_audit_numbers_are_digits(self, capsys, data_dir, option, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["--data-dir", data_dir, "audit", option, value])
+        assert exc.value.code == 2
+
+
 class TestExplain:
     def test_trace_lines_then_verdict(self, capsys, data_dir):
         seed(capsys, data_dir)
@@ -147,6 +167,13 @@ class TestSnapshotCommands:
         assert code == 0
         code, out, _ = run(capsys, "--data-dir", data_dir, "metrics")
         assert "num-users=1" in out  # zed gone after restore
+
+    @pytest.mark.parametrize("value", ["+1", " 1", "\u0661"])
+    def test_restore_id_is_digits(self, capsys, data_dir, value):
+        seed(capsys, data_dir)
+        assert run(capsys, "--data-dir", data_dir, "snapshot", "create")[0] == 0
+        code, _, err = run(capsys, "--data-dir", data_dir, "snapshot", "restore", value)
+        assert code == 1 and "1 to 19 ASCII digits" in err
 
     def test_restore_without_snapshots_errors(self, capsys, data_dir):
         seed(capsys, data_dir)

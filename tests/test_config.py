@@ -201,7 +201,11 @@ class TestParseListen:
     def test_port_only_defaults_host(self):
         assert parse_listen(":8080") == ("127.0.0.1", 8080)
 
-    @pytest.mark.parametrize("bad", ["nohost", "host:", "host:abc", "host:\u00b2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["nohost", "host:", "host:abc", "host:\u00b2", "host:+80",
+         pytest.param("host:" + "9" * 5000, id="host:5000-digits")],
+    )
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ConfigError):
             parse_listen(bad)

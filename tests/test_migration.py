@@ -2,6 +2,7 @@
 
 import copy
 import random
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from rolegate import directory as d
 from rolegate.directory import Action, Permission
+from rolegate.migration import _CHUNK as CHUNK  # bytes fed to the XML parser at a time
 from rolegate.migration import (
     Issue,
     MalformedXml,
@@ -21,7 +23,7 @@ from rolegate.migration import (
     validate_bundle,
 )
 
-from oracles import decision_oracle, random_directory
+from oracles import bundle_report_oracle, decision_oracle, random_directory
 
 DATA = Path(__file__).parent / "data"
 
@@ -484,3 +486,195 @@ def test_validate_and_import_agree(xml):
         assert not report.ok
     else:
         assert report.ok
+
+
+# -- the streaming reader reports what the tree reader reported -----------------
+
+@settings(max_examples=300, deadline=None)
+@given(xml=st.randoms(use_true_random=False).map(mutated_bundle))
+@example(xml=b"")
+@example(xml=b"<foo/>")
+@example(xml=b"<foo><migration/></foo>")
+@example(xml=b'<?xml version="1.0" encoding="bogus"?><migration format-version="1.0"/>')
+@example(xml=b'<?xml version="1.0" encoding="utf-32"?><migration format-version="1.0"/>')
+@example(xml=b'<migration format-version="1.0" color="x">t<roles/><roles/><foo/><foo/></migration>')
+@example(xml=b'<migration format-version="1.0"><roles><users><user/></users></roles></migration>')
+@example(xml=b'<migration format-version="1.0"><roles/></migration><junk/>')
+def test_report_matches_tree_oracle(xml):
+    assert validate_bundle(xml).issues == bundle_report_oracle(xml)
+
+
+def large_state(rng: random.Random, n_users: int) -> d.DirectoryState:
+    """A random directory plus ``n_users`` members holding up to 3 of its roles.
+
+    Exclusive pairs are dropped: the random memberships could break them.
+    """
+    state = random_directory(rng, with_sod=True, with_extras=True)
+    roles = sorted(state.roles)
+    assignments = dict(state.assignments)
+    users = set(state.users)
+    for i in range(n_users):
+        user = f"member{i:05d}"
+        users.add(user)
+        for role in rng.sample(roles, k=min(len(roles), rng.randint(0, 3))):
+            assignments[(user, role)] = 0
+    return d.DirectoryState(
+        users=frozenset(users),
+        roles=state.roles,
+        assignments=assignments,
+        sod=frozenset(),
+        restrictions=state.restrictions,
+        tables=state.tables,
+    )
+
+
+def large_mutated_bundle(rng: random.Random) -> bytes:
+    """A bundle more than a chunk long after 0-4 random tree edits."""
+    root = ET.fromstring(export_bundle(large_state(rng, rng.randint(2_500, 5_000))))
+    for _ in range(rng.randint(0, 4)):
+        _edit(rng, root)
+    return ET.tostring(root, encoding="utf-8")
+
+
+def utf16(xml: bytes) -> bytes:
+    text = xml.decode("utf-8")
+    if text.startswith("<?xml"):
+        text = text.split("?>", 1)[1]
+    return ('<?xml version="1.0" encoding="UTF-16"?>' + text).encode("utf-16")
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_large_bundle_report_matches_tree_oracle(seed, wide):
+    xml = large_mutated_bundle(random.Random(seed))
+    if wide:
+        xml = utf16(xml)
+    assert len(xml) > 64 * 1024
+    assert validate_bundle(xml).issues == bundle_report_oracle(xml)
+
+
+def test_utf16_bundle_imports():
+    state = large_state(random.Random(7), 2_000)
+    xml = utf16(export_bundle(state))
+    assert len(xml) > 64 * 1024
+    assert validate_bundle(xml).issues == bundle_report_oracle(xml)
+    assert same_directory(import_bundle(xml), state)
+
+
+def test_unexpected_children_among_items_across_chunks():
+    root = ET.fromstring(export_bundle(large_state(random.Random(11), 4_000)))
+    users = root.find("users")
+    for k in range(len(users), 0, -97):  # every 97th child, back to front
+        users.insert(k, ET.Element("foo", name=f"f{k}"))
+    users.insert(0, ET.Element("role", name="early"))
+    users.append(ET.Element("member-of", role="late"))
+    xml = ET.tostring(root, encoding="utf-8")
+    assert len(xml) > 64 * 1024
+    issues = validate_bundle(xml).issues
+    assert issues == bundle_report_oracle(xml)
+    assert len([i for i in issues if "unexpected element" in i.message]) > 40
+
+
+def straddling_bundle(value: str, attr: str, shift: int) -> bytes:
+    """A bundle whose ``value`` (a resource or a user name) starts ``shift``
+    bytes before the end of a chunk past the first 64 KiB.  Small roles pad
+    it there, so that no chunk goes without an element end."""
+    head = (
+        b'<migration format-version="1.0"><roles>'
+        b'<role name="r"><permission action="read" resource="docs"/></role>'
+    )
+    if attr == "resource":
+        body, tail = b'<role name="s"><permission action="read" resource="', b'"/></role></roles>'
+    else:
+        body, tail = b'</roles><users><user name="', b'"><member-of role="r"/></user></users>'
+    target = (64 * 1024 // CHUNK + 1) * CHUNK - shift
+    parts, size = [head], len(head) + len(body)
+    while size + 64 < target:
+        parts.append(b'<role name="p%05d"><inherits role="r"/></role>' % len(parts))
+        size += len(parts[-1])
+    parts.append(b" " * (target - size))
+    xml = b"".join(parts) + body + value.encode() + tail + b"</migration>"
+    assert xml.index(value.encode()) == target
+    return xml
+
+
+@pytest.mark.parametrize("shift", range(1, 10))
+@pytest.mark.parametrize("attr", ["resource", "user"])
+def test_multibyte_character_across_a_chunk_boundary(attr, shift):
+    value = "\u20ac\u00e9\U0001f512"  # 3, 2 and 4 bytes in UTF-8
+    xml = straddling_bundle(value, attr, shift)
+    report = validate_bundle(xml)
+    assert report.issues == bundle_report_oracle(xml)
+    if attr == "resource":
+        assert report.ok
+        perms = import_bundle(xml).roles["s"].permissions
+        assert perms == {Permission(value, Action.READ)}
+    else:
+        assert f"invalid user name {value!r}" in [i.message for i in report.issues]
+
+
+def test_token_longer_than_a_chunk_is_fed_in_growing_chunks(monkeypatch):
+    # Expat rescans a token cut by the end of a chunk on every feed, so
+    # fixed chunks would cost time quadratic in the token's length.
+    fed = []
+
+    class Counting(ET.XMLPullParser):
+        def feed(self, data):
+            fed.append(len(data))
+            super().feed(data)
+
+    monkeypatch.setattr(ET, "XMLPullParser", Counting)
+    name = "n" * (4 << 20)
+    xml = f'<migration format-version="1.0"><roles><role name="{name}"/></roles></migration>'
+    report = validate_bundle(xml.encode())
+    assert report.issues == bundle_report_oracle(xml.encode())
+    assert sum(fed) >= len(xml) and len(fed) <= 16  # not len(xml) / CHUNK feeds
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_truncated_bundle_reports_only_malformed(seed, wide):
+    rng = random.Random(seed)
+    root = ET.fromstring(export_bundle(large_state(rng, 3_000)))
+    root.set("color", "red")  # structural errors before the cut
+    root.insert(0, ET.Element("foo"))
+    root.insert(0, ET.Element("foo"))
+    xml = ET.tostring(root, encoding="utf-8")
+    if wide:
+        xml = utf16(xml)
+    xml = xml[: rng.randint(CHUNK + 1, len(xml) - 1)]
+    issues = validate_bundle(xml).issues
+    assert issues == bundle_report_oracle(xml)
+    assert len(issues) == 1 and issues[0].message.startswith("malformed XML: ")
+    with pytest.raises(MalformedXml):
+        import_bundle(xml)
+
+
+def scale_bundle(n_users: int) -> bytes:
+    """50 roles in chains of 5 with one permission each; 3 roles per user."""
+    lines = ['<migration format-version="1.0">', "<roles>"]
+    for r in range(50):
+        parent = f'<inherits role="role{r - 1:02d}"/>' if r % 5 else ""
+        lines.append(
+            f'<role name="role{r:02d}">{parent}'
+            f'<permission action="read" resource="res{r:02d}"/></role>'
+        )
+    lines += ["</roles>", "<users>"]
+    for u in range(n_users):
+        held = "".join(f'<member-of role="role{(u + 17 * k) % 50:02d}"/>' for k in range(3))
+        lines.append(f'<user name="user{u:06d}">{held}</user>')
+    lines += ["</users>", "</migration>"]
+    return "\n".join(lines).encode()
+
+
+def test_import_peak_memory_is_bounded_by_the_state():
+    xml = scale_bundle(20_000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state = import_bundle(xml)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.users) == 20_000 and len(state.assignments) == 60_000
+    assert peak - base <= 2 * (retained - base), (peak - base, retained - base)

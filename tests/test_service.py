@@ -7,6 +7,7 @@ import socketserver
 import threading
 import time
 from pathlib import Path
+from urllib.parse import quote
 
 import pytest
 
@@ -432,6 +433,35 @@ class TestRolesAtomic:
         assert status == 400
         assert "half" not in service.engine.state.roles
         assert "half" not in Engine.open(service.config.live_path).state.roles
+
+
+# What int() takes beyond 1*19DIGIT: an underscore, a sign, spaces, an
+# Arabic-Indic digit.
+NOT_DIGITS = ["1_000", "+5", " 7 ", "\u0663"]
+
+
+class TestNumberSyntax:
+    @pytest.mark.parametrize("value", NOT_DIGITS)
+    @pytest.mark.parametrize("field", ["max-transactions", "window-seconds", "max-users"])
+    def test_restriction_field_not_digits_is_400(self, service, field, value):
+        fields = {"id": "lim", "scope": "per-role", "max-transactions": "5",
+                  "window-seconds": "60", "max-users": "2", field: value}
+        body = "".join(f"{k}={v}\n" for k, v in fields.items())
+        status, reply = call(service, "POST", "/v1/restrictions", body, TOKEN)
+        assert status == 400
+        assert b"error=bad-request\n" in reply
+        assert service.engine.state.restrictions == {}
+
+    @pytest.mark.parametrize("value", NOT_DIGITS + ["-5"])
+    @pytest.mark.parametrize("param", ["limit", "since", "until"])
+    def test_audit_parameter_not_digits_is_400(self, service, param, value):
+        status, reply = call(service, "GET", f"/v1/audit?{param}={quote(value)}")
+        assert status == 400
+        assert b"error=bad-request\n" in reply
+
+    def test_restore_id_not_digits_is_400(self, service):
+        status, _ = call(service, "POST", f"/v1/snapshots/{quote('٣')}/restore", "", TOKEN)
+        assert status == 400
 
 
 class TestMonitoringEndpoints:
